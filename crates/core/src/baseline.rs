@@ -84,7 +84,10 @@ impl EmulatedPmem {
     }
 
     fn check_range(&self, offset: u64, len: u64) -> Result<(), CoreError> {
-        if offset + len > self.capacity {
+        if offset
+            .checked_add(len)
+            .is_none_or(|end| end > self.capacity)
+        {
             return Err(CoreError::OutOfRange {
                 offset,
                 capacity: self.capacity,

@@ -50,10 +50,10 @@ pub enum CoreError {
         /// How long the caller should wait before retrying.
         retry_after: SimDuration,
     },
-    /// The shard's request queue is full and the failover policy sheds
-    /// load instead of blocking; retry after the hinted delay.
+    /// The shard's executor ring is full, so the operation bounced back
+    /// unqueued; retry after the hinted delay.
     ///
-    /// `queued` / `queue_limit` expose the shard's congestion at shed
+    /// `queued` / `queue_limit` expose the shard's congestion at bounce
     /// time so callers can back off *proportionally* (deep queue → long
     /// wait) instead of hot-looping on the fixed hint.
     Overloaded {
@@ -62,10 +62,9 @@ pub enum CoreError {
         /// Base delay the caller should wait before retrying; scale it by
         /// `queued / queue_limit` for fairness under congestion.
         retry_after: SimDuration,
-        /// Requests sitting in the shard's queue when the request bounced.
+        /// Requests sitting in the shard's ring when the request bounced.
         queued: usize,
-        /// The queue's configured bound (`queued == queue_limit` when the
-        /// bounce came from a full queue).
+        /// The ring's configured bound.
         queue_limit: usize,
     },
     /// The tenant exhausted its bytes/s or ops/s quota; retry after the

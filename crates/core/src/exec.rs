@@ -1,9 +1,8 @@
 //! The scale-out request executor: per-shard rings, coalescing, and a
 //! fixed work-stealing worker pool.
 //!
-//! The pre-refactor drivers spawned one scoped OS thread per shard per
-//! round — fine at 4 channels, dead at 256. The executor replaces that
-//! with a batched, lock-light design:
+//! A fixed worker pool serves any number of shards, so one process
+//! drives 256 channels. The design is batched and lock-light:
 //!
 //! 1. **Route** — [`ShardExecutor::submit`] splits each global operation
 //!    with the [`InterleaveMap`] and pushes one [`ShardRequest`] per
@@ -65,8 +64,8 @@ pub struct ExecutorConfig {
 }
 
 impl Default for ExecutorConfig {
-    /// 4 workers, 64-deep rings, 64 KiB DMA cap — matches the scheduler's
-    /// default queue depth and a typical controller's max transfer.
+    /// 4 workers, 64-deep rings, 64 KiB DMA cap — a typical controller's
+    /// max transfer.
     fn default() -> Self {
         ExecutorConfig {
             workers: 4,
@@ -375,11 +374,8 @@ impl ShardExecutor {
 
     /// Routes one *pre-split* request onto `shard`'s ring — for drivers
     /// that run the interleave splitter themselves. Stamps and returns
-    /// the sequence number; a full ring bounces the request back
-    /// (mirroring [`RequestScheduler::enqueue`]) so the caller can drain
-    /// and retry without losing it.
-    ///
-    /// [`RequestScheduler::enqueue`]: crate::sched::RequestScheduler::enqueue
+    /// the sequence number; a full ring bounces the request back so the
+    /// caller can drain and retry without losing it.
     ///
     /// # Errors
     ///

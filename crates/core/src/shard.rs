@@ -937,7 +937,7 @@ impl ChannelShard {
 
     fn check_range(&self, offset: u64, len: u64) -> Result<(), CoreError> {
         let capacity = self.nvmc.export_bytes();
-        if offset + len > capacity {
+        if offset.checked_add(len).is_none_or(|end| end > capacity) {
             return Err(CoreError::OutOfRange { offset, capacity });
         }
         Ok(())

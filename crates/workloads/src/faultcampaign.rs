@@ -270,7 +270,6 @@ impl FaultCampaign {
         // capture is untouched either way: entries stay in each shard's
         // recorder until the epoch is spliced below.
         if sys.faults_quiescent() && sys.degraded_shards().is_empty() {
-            let t0 = sys.now();
             let mut exec = ShardExecutor::new(self.channels as usize, ExecutorConfig::default());
             let mut page_data: Vec<Option<Vec<u8>>> = vec![None; pages as usize];
             fn fold_sweep(
@@ -287,7 +286,7 @@ impl FaultCampaign {
                 Ok(())
             }
             {
-                let (shards, map, _) = sys.parts_mut();
+                let (shards, map, t0) = sys.parts_mut();
                 for page in 0..pages {
                     if poisoned.contains(&page) {
                         continue;

@@ -205,12 +205,7 @@ impl SoakConfig {
                         CoreError::DegradedShard { .. } => report.degraded_rejections += 1,
                         CoreError::Rebuilding { retry_after, .. } => {
                             report.shed_rebuilding += 1;
-                            // The front-end already scales the hint by ring
-                            // pressure; honor it instead of hot-looping.
-                            sys.advance(retry_after);
-                        }
-                        CoreError::Overloaded { retry_after, .. } => {
-                            report.shed_overloaded += 1;
+                            // Honor the hint instead of hot-looping.
                             sys.advance(retry_after);
                         }
                         other => return Err(other),
@@ -249,7 +244,6 @@ impl SoakConfig {
         // (adjacent pages coalesce into joint DMAs on one channel) and
         // every completion carries its payload back; the digest still
         // folds in page order, so it is deterministic.
-        let t0 = sys.now();
         let mut exec = ShardExecutor::new(sys.channels() as usize, ExecutorConfig::default());
         let mut page_data: Vec<Option<Vec<u8>>> = vec![None; pages as usize];
         fn fold_sweep(
@@ -266,7 +260,7 @@ impl SoakConfig {
             Ok(())
         }
         {
-            let (shards, map, _) = sys.parts_mut();
+            let (shards, map, t0) = sys.parts_mut();
             for page in 0..pages {
                 if excluded.contains(&page) {
                     continue;
@@ -358,8 +352,6 @@ pub struct SoakReport {
     pub degraded_rejections: u64,
     /// Operations shed with a typed `Rebuilding` retry-after hint.
     pub shed_rebuilding: u64,
-    /// Operations shed with a typed `Overloaded` retry-after hint.
-    pub shed_overloaded: u64,
     /// Writes refused with a typed error (ledgered).
     pub writes_rejected: u64,
     /// Final read-backs matching a still-ledgered rejected payload;
@@ -397,7 +389,6 @@ impl SoakReport {
             cp_timeouts: 0,
             degraded_rejections: 0,
             shed_rebuilding: 0,
-            shed_overloaded: 0,
             writes_rejected: 0,
             rejected_write_leaks: 0,
             pages_excluded: 0,

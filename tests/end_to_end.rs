@@ -2,8 +2,8 @@
 //! refresh detector, shared bus, FTL, ECC, media — exercised together.
 
 use nvdimmc::core::{
-    BlockDevice, CoreError, EmulatedPmem, EvictionPolicyKind, NvdimmCConfig, PerfParams, System,
-    PAGE_BYTES,
+    BlockDevice, CoreError, EmulatedPmem, EvictionPolicyKind, MultiChannelConfig,
+    MultiChannelSystem, NvdimmCConfig, PerfParams, System, PAGE_BYTES,
 };
 use nvdimmc::ddr::{SpeedBin, TimingParams};
 use nvdimmc::sim::{DeterministicRng, SimDuration};
@@ -216,14 +216,42 @@ fn wear_leveling_spreads_erases_under_host_churn() {
 
 #[test]
 fn errors_are_reported_not_panicked() {
+    fn assert_out_of_range<T: std::fmt::Debug>(what: &str, res: Result<T, CoreError>) {
+        match res {
+            Err(CoreError::OutOfRange { .. }) => {}
+            other => panic!("{what}: expected OutOfRange, got {other:?}"),
+        }
+    }
     let mut sys = System::new(NvdimmCConfig::small_for_tests()).unwrap();
     let cap = sys.capacity_bytes();
-    match sys.read_at(cap, &mut [0u8; 1]) {
-        Err(CoreError::OutOfRange { .. }) => {}
-        other => panic!("expected OutOfRange, got {other:?}"),
-    }
-    // Device still usable after the error.
+    assert_out_of_range(
+        "System::read_at at capacity",
+        sys.read_at(cap, &mut [0u8; 1]),
+    );
+    // Near u64::MAX, `offset + len` would wrap: every range check must
+    // reject the access instead of overflowing.
+    let off = u64::MAX - 10;
+    assert_out_of_range("System::read_at", sys.read_at(off, &mut [0u8; 64]));
+    assert_out_of_range("System::write_at", sys.write_at(off, &[0u8; 64]));
+    assert_out_of_range("System::persist", sys.persist(off, 64));
+    let mut front =
+        MultiChannelSystem::new(MultiChannelConfig::new(NvdimmCConfig::small_for_tests(), 4))
+            .unwrap();
+    assert_out_of_range("4-channel read_at", front.read_at(off, &mut [0u8; 64]));
+    assert_out_of_range("4-channel write_at", front.write_at(off, &[0u8; 64]));
+    assert_out_of_range("4-channel persist", front.persist(off, 64));
+    let mut pmem = EmulatedPmem::new(
+        64 << 20,
+        TimingParams::nvdimmc_poc(SpeedBin::Ddr4_1600),
+        PerfParams::poc(),
+    )
+    .unwrap();
+    assert_out_of_range("EmulatedPmem::read_at", pmem.read_at(off, &mut [0u8; 64]));
+    assert_out_of_range("EmulatedPmem::write_at", pmem.write_at(off, &[0u8; 64]));
+    // Every device is still usable after the errors.
     sys.write_at(0, &page(1)).unwrap();
+    front.write_at(0, &page(1)).unwrap();
+    pmem.write_at(0, &page(1)).unwrap();
 }
 
 #[test]

@@ -131,6 +131,37 @@ fn auto_failover_repairs_inline_and_service_continues() {
 }
 
 #[test]
+fn exhausted_repair_budget_returns_the_policy_retry_hint() {
+    // Auto-repair on, but no attempt budget: the first op to find shard 2
+    // degraded gets a typed `Rebuilding` hint carrying exactly the
+    // policy's retry delay, and the shard stays out.
+    let policy = FailoverPolicy {
+        auto_repair: true,
+        max_repair_attempts: 0,
+        ..FailoverPolicy::default()
+    };
+    let mut sys = small_system(4, policy);
+    let failed_at = degrade_shard_2(&mut sys);
+    let p = 2 + 4 * failed_at;
+    match sys.write_at(p * PAGE_BYTES, &page(0x77)) {
+        Err(CoreError::Rebuilding { shard, retry_after }) => {
+            assert_eq!(shard, 2);
+            assert_eq!(retry_after, policy.retry_after);
+        }
+        other => panic!("expected a Rebuilding hint, got {other:?}"),
+    }
+    let mut buf = page(0);
+    match sys.read_at(p * PAGE_BYTES, &mut buf) {
+        Err(CoreError::Rebuilding { retry_after, .. }) => {
+            assert_eq!(retry_after, policy.retry_after);
+        }
+        other => panic!("expected a Rebuilding hint, got {other:?}"),
+    }
+    assert_eq!(sys.degraded_shards().len(), 1, "no repair was attempted");
+    assert_eq!(sys.recovery_stats().rebuilds_started, 0);
+}
+
+#[test]
 fn rebuild_transitions_are_bit_identical_across_reruns() {
     for channels in [1u32, 4] {
         let (r1, s1) = SoakConfig::smoke(channels).run_full().expect("soak");
