@@ -8,24 +8,11 @@
 //! NVDIMM-C channel.
 
 use crate::config::PAGE_BYTES;
-use crate::error::CoreError;
+use crate::error::{check_range, CoreError};
 use crate::perf::PerfParams;
-use crate::shard::{BlockDevice, QueuedDevice};
+use crate::shard::{BlockDevice, Io, QueuedDevice};
 use nvdimmc_ddr::{DramDevice, Imc, ImcConfig, SharedBus, TimingParams};
-use nvdimmc_sim::{Histogram, SimDuration, SimTime};
-
-/// Statistics for the baseline device.
-#[derive(Debug, Clone, Default)]
-pub struct BaselineStats {
-    /// Read operations.
-    pub reads: u64,
-    /// Write operations.
-    pub writes: u64,
-    /// Read latency distribution.
-    pub read_latency: Histogram,
-    /// Write latency distribution.
-    pub write_latency: Histogram,
-}
+use nvdimmc_sim::{SimDuration, SimTime};
 
 /// The emulated-NVDIMM baseline.
 ///
@@ -52,7 +39,6 @@ pub struct EmulatedPmem {
     perf: PerfParams,
     capacity: u64,
     clock: SimTime,
-    stats: BaselineStats,
 }
 
 impl EmulatedPmem {
@@ -74,37 +60,67 @@ impl EmulatedPmem {
             perf,
             capacity,
             clock: SimTime::ZERO,
-            stats: BaselineStats::default(),
         })
     }
 
-    /// Statistics.
-    pub fn stats(&self) -> &BaselineStats {
-        &self.stats
-    }
-
-    fn check_range(&self, offset: u64, len: u64) -> Result<(), CoreError> {
-        if offset
-            .checked_add(len)
-            .is_none_or(|end| end > self.capacity)
-        {
-            return Err(CoreError::OutOfRange {
-                offset,
-                capacity: self.capacity,
-            });
-        }
-        Ok(())
-    }
-
-    fn sw_cost(&self, len: u64, write: bool) -> SimDuration {
+    /// Per-op software cost. Sub-page ops skip nothing on the baseline:
+    /// the block-layer-ish fixed cost applies regardless of size.
+    fn sw_cost(&self, write: bool) -> SimDuration {
         let mut c = self.perf.fio_base_op;
         if write {
             c += self.perf.fio_write_extra;
         }
-        // Sub-page ops skip nothing on the baseline: the block-layer-ish
-        // fixed cost applies regardless of size.
-        let _ = len;
         c
+    }
+
+    /// A blocking call: the software cost, then the request served on
+    /// the idle device it leaves behind. Returns the operation latency.
+    fn serve_blocking(&mut self, offset: u64, io: Io<'_>) -> Result<SimDuration, CoreError> {
+        let t0 = self.clock;
+        let sw = if io.len() == 0 {
+            SimDuration::ZERO
+        } else {
+            self.sw_cost(io.is_write())
+        };
+        let end = self.serve(t0 + sw, offset, io)?;
+        Ok(end.since(t0))
+    }
+
+    /// The one service routine behind every read and write, blocking or
+    /// queued. Idle at arrival, the transfer runs lock-step with the
+    /// issuing thread's copy (paced at the CPU copy rate; the slower
+    /// wins). Contended, the copy overlaps other requests' transfers and
+    /// the device holds only the raw (tCCD-pipelined) bus occupancy.
+    /// Returns the completion instant on the device clock.
+    fn serve(
+        &mut self,
+        not_before: SimTime,
+        offset: u64,
+        io: Io<'_>,
+    ) -> Result<SimTime, CoreError> {
+        let len = io.len();
+        if len == 0 {
+            return Ok(self.clock.max(not_before));
+        }
+        check_range(offset, len, self.capacity)?;
+        let (pace, copy) = if self.clock <= not_before {
+            (self.perf.copy_time(64), self.perf.copy_time(len))
+        } else {
+            (SimDuration::ZERO, SimDuration::ZERO)
+        };
+        self.clock = self.clock.max(not_before);
+        let start = self.clock;
+        let end = match io {
+            Io::Read(buf) => self
+                .imc
+                .read_bytes_paced(&mut self.bus, start, offset, buf, pace)?,
+            Io::Write(data) => {
+                self.imc
+                    .write_bytes_paced(&mut self.bus, start, offset, data, pace)?
+            }
+        };
+        self.clock = end.max(start + copy);
+        Ok(self.clock)
     }
 }
 
@@ -122,43 +138,11 @@ impl BlockDevice for EmulatedPmem {
     }
 
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration, CoreError> {
-        let len = buf.len() as u64;
-        if len == 0 {
-            return Ok(SimDuration::ZERO);
-        }
-        self.check_range(offset, len)?;
-        let t0 = self.clock;
-        self.clock += self.sw_cost(len, false);
-        let start = self.clock;
-        let pace = self.perf.copy_time(64);
-        let end = self
-            .imc
-            .read_bytes_paced(&mut self.bus, start, offset, buf, pace)?;
-        self.clock = end.max(start + self.perf.copy_time(len));
-        let lat = self.clock.since(t0);
-        self.stats.reads += 1;
-        self.stats.read_latency.record(lat);
-        Ok(lat)
+        self.serve_blocking(offset, Io::Read(buf))
     }
 
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration, CoreError> {
-        let len = data.len() as u64;
-        if len == 0 {
-            return Ok(SimDuration::ZERO);
-        }
-        self.check_range(offset, len)?;
-        let t0 = self.clock;
-        self.clock += self.sw_cost(len, true);
-        let start = self.clock;
-        let pace = self.perf.copy_time(64);
-        let end = self
-            .imc
-            .write_bytes_paced(&mut self.bus, start, offset, data, pace)?;
-        self.clock = end.max(start + self.perf.copy_time(len));
-        let lat = self.clock.since(t0);
-        self.stats.writes += 1;
-        self.stats.write_latency.record(lat);
-        Ok(lat)
+        self.serve_blocking(offset, Io::Write(data))
     }
 }
 
@@ -171,8 +155,8 @@ impl QueuedDevice for EmulatedPmem {
         self.clock
     }
 
-    fn pre_cost(&self, len: u64, write: bool) -> SimDuration {
-        self.sw_cost(len, write)
+    fn pre_cost(&self, _len: u64, write: bool) -> SimDuration {
+        self.sw_cost(write)
     }
 
     fn copy_cost(&self, len: u64) -> SimDuration {
@@ -185,33 +169,7 @@ impl QueuedDevice for EmulatedPmem {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<SimTime, CoreError> {
-        let len = buf.len() as u64;
-        if len == 0 {
-            return Ok(self.clock.max(not_before));
-        }
-        self.check_range(offset, len)?;
-        if self.clock <= not_before {
-            // Idle at arrival: lock-step with the issuing thread's copy,
-            // exactly like the blocking path.
-            self.clock = not_before;
-            let t0 = self.clock;
-            let pace = self.perf.copy_time(64);
-            let end = self
-                .imc
-                .read_bytes_paced(&mut self.bus, t0, offset, buf, pace)?;
-            self.clock = end.max(t0 + self.perf.copy_time(len));
-            self.stats.reads += 1;
-            self.stats.read_latency.record(self.clock.since(t0));
-        } else {
-            // Contended: the copy overlaps other requests' transfers; the
-            // device holds only the raw (tCCD-pipelined) bus occupancy.
-            let t0 = self.clock;
-            let end = self.imc.read_bytes(&mut self.bus, t0, offset, buf)?;
-            self.clock = end;
-            self.stats.reads += 1;
-            self.stats.read_latency.record(self.clock.since(t0));
-        }
-        Ok(self.clock)
+        self.serve(not_before, offset, Io::Read(buf))
     }
 
     fn serve_write(
@@ -220,29 +178,7 @@ impl QueuedDevice for EmulatedPmem {
         offset: u64,
         data: &[u8],
     ) -> Result<SimTime, CoreError> {
-        let len = data.len() as u64;
-        if len == 0 {
-            return Ok(self.clock.max(not_before));
-        }
-        self.check_range(offset, len)?;
-        if self.clock <= not_before {
-            self.clock = not_before;
-            let t0 = self.clock;
-            let pace = self.perf.copy_time(64);
-            let end = self
-                .imc
-                .write_bytes_paced(&mut self.bus, t0, offset, data, pace)?;
-            self.clock = end.max(t0 + self.perf.copy_time(len));
-            self.stats.writes += 1;
-            self.stats.write_latency.record(self.clock.since(t0));
-        } else {
-            let t0 = self.clock;
-            let end = self.imc.write_bytes(&mut self.bus, t0, offset, data)?;
-            self.clock = end;
-            self.stats.writes += 1;
-            self.stats.write_latency.record(self.clock.since(t0));
-        }
-        Ok(self.clock)
+        self.serve(not_before, offset, Io::Write(data))
     }
 }
 

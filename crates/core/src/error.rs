@@ -95,6 +95,16 @@ pub enum CoreError {
     },
 }
 
+/// `Ok` when `[offset, offset + len)` lies inside a device of `capacity`
+/// bytes; [`CoreError::OutOfRange`] otherwise, including when the end
+/// overflows the 64-bit address space.
+pub(crate) fn check_range(offset: u64, len: u64, capacity: u64) -> Result<(), CoreError> {
+    if offset.checked_add(len).is_none_or(|end| end > capacity) {
+        return Err(CoreError::OutOfRange { offset, capacity });
+    }
+    Ok(())
+}
+
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

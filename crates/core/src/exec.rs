@@ -5,11 +5,13 @@
 //! drives 256 channels. The design is batched and lock-light:
 //!
 //! 1. **Route** — [`ShardExecutor::submit`] splits each global operation
+//!    (a [`GlobalOp`]: read or write, tenant, thread, issue instant)
 //!    with the [`InterleaveMap`] and pushes one [`ShardRequest`] per
-//!    segment onto the owning shard's bounded [`SpscRing`]. The router is
-//!    each ring's only producer; a full ring bounces the *whole*
-//!    operation back with [`CoreError::Overloaded`] (carrying the queue
-//!    depth, so callers back off proportionally).
+//!    segment onto the owning shard's bounded [`SpscRing`];
+//!    [`ShardExecutor::submit_request`] takes a request its driver split
+//!    itself. The router is each ring's only producer; a full ring
+//!    bounces the *whole* operation back with [`CoreError::Overloaded`]
+//!    (carrying the queue depth, so callers back off proportionally).
 //! 2. **Batch + coalesce** — [`ShardExecutor::dispatch`] drains every
 //!    ring FIFO into a per-shard batch and folds adjacent same-kind
 //!    requests into single DMAs ([`coalesce`]).
@@ -19,9 +21,11 @@
 //!    the per-shard mutex is only ever taken by the one claiming worker,
 //!    so it never contends). Each claimed shard serves its whole batch on
 //!    its own clock via [`QueuedDevice::serve_read`] /
-//!    [`QueuedDevice::serve_write`]; the device's idle-jump *is* the
-//!    discrete-event fast path — the clock advances straight to the
-//!    request's `not_before` instead of ticking through idle time.
+//!    [`QueuedDevice::serve_write`] — the device's one service routine,
+//!    the same one a blocking call runs on an idle device. The device's
+//!    idle-jump *is* the discrete-event fast path: the clock advances
+//!    straight to the request's `not_before` instead of ticking through
+//!    idle time.
 //! 4. **Fold** — completions are collected in shard-index order, FIFO
 //!    within a shard. Shards share no state, so the result is a pure
 //!    function of the submitted requests: **bit-identical for any worker
@@ -29,21 +33,18 @@
 //!    deterministic drivers and the `nvdimmc-check` passes.
 //!
 //! Trace capture needs no executor bookkeeping: entries accumulate in
-//! each device's own recorder while its batch is served, so front-driven
-//! runs keep collecting epochs through
-//! `MultiChannelSystem::set_trace_capture(false)` unchanged. Raw-device
-//! runs claim them zero-copy through [`ShardExecutor::take_traces`],
-//! which moves each buffer out via [`QueuedDevice::drain_trace`] — no
-//! clone, no post-hoc lock.
+//! each device's own recorder while its batch is served, and are taken
+//! from the devices afterwards — front-driven runs through
+//! `MultiChannelSystem::set_trace_capture(false)`, raw-device runs
+//! through each device's [`QueuedDevice::drain_trace`].
 
 use crate::coalesce::{coalesce, CoalescedReq};
-use crate::error::CoreError;
+use crate::error::{check_range, CoreError};
 use crate::interleave::InterleaveMap;
 use crate::qos::{TenantId, WfqArbiter};
 use crate::ring::SpscRing;
 use crate::sched::{ReqKind, ShardRequest};
 use crate::shard::QueuedDevice;
-use nvdimmc_ddr::TraceEntry;
 use nvdimmc_sim::{ShardCalendar, SimDuration, SimTime};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -59,9 +60,11 @@ pub struct ExecutorConfig {
     /// Byte cap on one coalesced DMA. `1` effectively disables merging
     /// (no two requests fit), which the equivalence tests use.
     pub coalesce_bytes: u64,
-    /// Base retry hint carried by the `Overloaded` bounce.
-    pub retry_after: SimDuration,
 }
+
+/// Base retry hint carried by the `Overloaded` bounce: an empty ring
+/// retries after this, a full one after twice it.
+const OVERLOAD_RETRY: SimDuration = SimDuration::from_ns(100_000);
 
 impl Default for ExecutorConfig {
     /// 4 workers, 64-deep rings, 64 KiB DMA cap — a typical controller's
@@ -71,7 +74,6 @@ impl Default for ExecutorConfig {
             workers: 4,
             ring_depth: 64,
             coalesce_bytes: 64 * 1024,
-            retry_after: SimDuration::from_us(100.0),
         }
     }
 }
@@ -95,6 +97,53 @@ impl ExecutorConfig {
     #[must_use]
     pub fn with_coalesce_bytes(mut self, bytes: u64) -> Self {
         self.coalesce_bytes = bytes;
+        self
+    }
+}
+
+/// One global operation for [`ShardExecutor::submit`]: a read of `len`
+/// bytes or a write of a payload at a global byte offset, issued by one
+/// workload thread of one tenant.
+#[derive(Debug, Clone, Copy)]
+pub struct GlobalOp<'a> {
+    tenant: TenantId,
+    thread: u32,
+    offset: u64,
+    len: u64,
+    not_before: SimTime,
+    /// Write payload; `None` for a read.
+    payload: Option<&'a [u8]>,
+}
+
+impl<'a> GlobalOp<'a> {
+    /// A read of `len` bytes at `offset` by host-tenant `thread`, whose
+    /// device phase may start no earlier than `not_before`.
+    pub fn read(thread: u32, offset: u64, len: u64, not_before: SimTime) -> Self {
+        GlobalOp {
+            tenant: TenantId::HOST,
+            thread,
+            offset,
+            len,
+            not_before,
+            payload: None,
+        }
+    }
+
+    /// A write of `data` at `offset` by host-tenant `thread`.
+    pub fn write(thread: u32, offset: u64, data: &'a [u8], not_before: SimTime) -> Self {
+        GlobalOp {
+            len: data.len() as u64,
+            payload: Some(data),
+            ..Self::read(thread, offset, 0, not_before)
+        }
+    }
+
+    /// Issues the operation as `tenant`: the tenant rides on every
+    /// generated [`ShardRequest`], drives weighted-fair dequeue and
+    /// cache-fill priority, and comes back on each [`Completion`].
+    #[must_use]
+    pub fn for_tenant(mut self, tenant: TenantId) -> Self {
+        self.tenant = tenant;
         self
     }
 }
@@ -193,8 +242,8 @@ struct WorkCell<'d, D> {
 ///
 /// ```
 /// use nvdimmc_core::{
-///     exec::{ExecutorConfig, ShardExecutor},
-///     InterleaveMap, NvdimmCConfig, ReqKind, System,
+///     exec::{ExecutorConfig, GlobalOp, ShardExecutor},
+///     InterleaveMap, NvdimmCConfig, System,
 /// };
 /// use nvdimmc_sim::SimTime;
 ///
@@ -202,7 +251,7 @@ struct WorkCell<'d, D> {
 /// let map = InterleaveMap::new(1, 4096)?;
 /// let mut devices = vec![System::new(NvdimmCConfig::small_for_tests())?];
 /// let mut exec = ShardExecutor::new(1, ExecutorConfig::default());
-/// exec.submit(&map, 0, ReqKind::Write, 0, SimTime::ZERO, &[0xA5; 4096])?;
+/// exec.submit(&map, GlobalOp::write(0, 0, &[0xA5; 4096], SimTime::ZERO))?;
 /// let done = exec.dispatch(&mut devices);
 /// assert_eq!(done.len(), 1);
 /// assert!(done[0].error.is_none());
@@ -227,7 +276,6 @@ impl ShardExecutor {
             workers: cfg.workers.max(1),
             ring_depth: cfg.ring_depth.max(1),
             coalesce_bytes: cfg.coalesce_bytes.max(1),
-            ..cfg
         };
         ShardExecutor {
             rings: (0..shards).map(|_| SpscRing::new(cfg.ring_depth)).collect(),
@@ -291,85 +339,84 @@ impl ShardExecutor {
         self.rings.iter().any(|r| !r.is_empty())
     }
 
-    /// Moves each device's captured bus trace out (index = shard) via
-    /// the zero-copy [`QueuedDevice::drain_trace`] handoff. Empty unless
-    /// the devices had capture enabled. Front-driven runs normally leave
-    /// the entries in place and collect the whole epoch through
-    /// `MultiChannelSystem::set_trace_capture(false)` instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `devices` does not cover every shard.
-    pub fn take_traces<D: QueuedDevice>(&self, devices: &mut [D]) -> Vec<Vec<TraceEntry>> {
-        assert_eq!(
-            devices.len(),
-            self.shards(),
-            "devices must cover every shard"
-        );
-        devices.iter_mut().map(QueuedDevice::drain_trace).collect()
-    }
-
-    /// Routes one operation: splits `[offset, offset + data_or_len)` with
-    /// `map` and pushes one request per segment onto the owning rings.
-    /// For reads pass the length via `read_len` with an empty payload;
-    /// for writes pass the payload (its length is the operation length).
+    /// Routes one global operation: splits its range with `map` and
+    /// pushes one request per segment onto the owning rings, tagged with
+    /// the operation's tenant and thread.
     ///
     /// All-or-nothing: if any target ring lacks room the whole operation
     /// bounces and no ring is touched, so a retry cannot double-enqueue.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Overloaded`] (with the ring's depth) when a target
-    /// ring is full.
+    /// [`CoreError::OutOfRange`] when the range's end overflows the
+    /// 64-bit address space (the executor knows no device capacity; a
+    /// device refuses an in-space range past its capacity on the
+    /// request's [`Completion`]). [`CoreError::Overloaded`] (with the
+    /// ring's depth) when a target ring is full.
     pub fn submit(
         &mut self,
         map: &InterleaveMap,
-        thread: u32,
-        kind: ReqKind,
-        offset: u64,
-        not_before: SimTime,
-        payload: &[u8],
+        op: GlobalOp<'_>,
     ) -> Result<Vec<Submitted>, CoreError> {
-        self.submit_for(
-            map,
-            TenantId::HOST,
-            thread,
-            kind,
-            offset,
-            not_before,
-            payload,
-        )
-    }
-
-    /// [`Self::submit`] with an explicit tenant identity: the tenant
-    /// rides on every generated [`ShardRequest`], drives weighted-fair
-    /// dequeue and cache-fill priority, and comes back on each
-    /// [`Completion`] for per-tenant accounting.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::submit`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_for(
-        &mut self,
-        map: &InterleaveMap,
-        tenant: TenantId,
-        thread: u32,
-        kind: ReqKind,
-        offset: u64,
-        not_before: SimTime,
-        payload: &[u8],
-    ) -> Result<Vec<Submitted>, CoreError> {
-        self.submit_len(
-            map,
-            tenant,
-            thread,
-            kind,
-            offset,
-            payload.len() as u64,
-            not_before,
-            payload,
-        )
+        check_range(op.offset, op.len, u64::MAX)?;
+        let segs = map.split_range(op.offset, op.len);
+        // All-or-nothing admission: count demand per shard first.
+        let mut demand = vec![0usize; self.rings.len()];
+        for seg in &segs {
+            demand[seg.shard as usize] += 1;
+        }
+        for (shard, need) in demand.iter().enumerate() {
+            let ring = &self.rings[shard];
+            if *need > 0 && ring.len() + need > ring.capacity() {
+                self.stats[shard].rejected_ring_full += 1;
+                // Pressure-proportional hint: an empty ring retries after
+                // the base delay, a full one after twice it.
+                let base = OVERLOAD_RETRY;
+                let scaled = base + base.mul_f64(ring.len() as f64 / ring.capacity().max(1) as f64);
+                return Err(CoreError::Overloaded {
+                    shard: shard as u32,
+                    retry_after: scaled,
+                    queued: ring.len(),
+                    queue_limit: ring.capacity(),
+                });
+            }
+        }
+        let mut accepted = Vec::with_capacity(segs.len());
+        for seg in segs {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let (kind, data) = match op.payload {
+                Some(payload) => (
+                    ReqKind::Write,
+                    payload[seg.pos..seg.pos + seg.len as usize].to_vec(),
+                ),
+                None => (ReqKind::Read, Vec::new()),
+            };
+            let req = ShardRequest {
+                seq,
+                tenant: op.tenant,
+                thread: op.thread,
+                kind,
+                local_offset: seg.local_offset,
+                len: seg.len,
+                not_before: op.not_before,
+                data,
+            };
+            // INVARIANT: the demand pre-check reserved this slot.
+            if self.rings[seg.shard as usize].try_push(req).is_err() {
+                return Err(CoreError::Config(
+                    "executor ring capacity invariant violated".into(),
+                ));
+            }
+            self.stats[seg.shard as usize].accepted += 1;
+            accepted.push(Submitted {
+                seq,
+                shard: seg.shard,
+                pos: seg.pos,
+                len: seg.len,
+            });
+        }
+        Ok(accepted)
     }
 
     /// Routes one *pre-split* request onto `shard`'s ring — for drivers
@@ -396,118 +443,6 @@ impl ShardExecutor {
         self.rings[shard].try_push(req)?;
         self.stats[shard].accepted += 1;
         Ok(seq)
-    }
-
-    /// [`Self::submit`] for reads: the length is explicit, no payload.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::submit`].
-    pub fn submit_read(
-        &mut self,
-        map: &InterleaveMap,
-        thread: u32,
-        offset: u64,
-        len: u64,
-        not_before: SimTime,
-    ) -> Result<Vec<Submitted>, CoreError> {
-        self.submit_read_for(map, TenantId::HOST, thread, offset, len, not_before)
-    }
-
-    /// [`Self::submit_read`] with an explicit tenant identity.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::submit`].
-    pub fn submit_read_for(
-        &mut self,
-        map: &InterleaveMap,
-        tenant: TenantId,
-        thread: u32,
-        offset: u64,
-        len: u64,
-        not_before: SimTime,
-    ) -> Result<Vec<Submitted>, CoreError> {
-        self.submit_len(
-            map,
-            tenant,
-            thread,
-            ReqKind::Read,
-            offset,
-            len,
-            not_before,
-            &[],
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn submit_len(
-        &mut self,
-        map: &InterleaveMap,
-        tenant: TenantId,
-        thread: u32,
-        kind: ReqKind,
-        offset: u64,
-        len: u64,
-        not_before: SimTime,
-        payload: &[u8],
-    ) -> Result<Vec<Submitted>, CoreError> {
-        let segs = map.split_range(offset, len);
-        // All-or-nothing admission: count demand per shard first.
-        let mut demand = vec![0usize; self.rings.len()];
-        for seg in &segs {
-            demand[seg.shard as usize] += 1;
-        }
-        for (shard, need) in demand.iter().enumerate() {
-            let ring = &self.rings[shard];
-            if *need > 0 && ring.len() + need > ring.capacity() {
-                self.stats[shard].rejected_ring_full += 1;
-                // Pressure-proportional hint: an empty ring retries after
-                // the base delay, a full one after twice it.
-                let base = self.cfg.retry_after;
-                let scaled = base + base.mul_f64(ring.len() as f64 / ring.capacity().max(1) as f64);
-                return Err(CoreError::Overloaded {
-                    shard: shard as u32,
-                    retry_after: scaled,
-                    queued: ring.len(),
-                    queue_limit: ring.capacity(),
-                });
-            }
-        }
-        let mut accepted = Vec::with_capacity(segs.len());
-        for seg in segs {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let data = if kind == ReqKind::Write {
-                payload[seg.pos..seg.pos + seg.len as usize].to_vec()
-            } else {
-                Vec::new()
-            };
-            let req = ShardRequest {
-                seq,
-                tenant,
-                thread,
-                kind,
-                local_offset: seg.local_offset,
-                len: seg.len,
-                not_before,
-                data,
-            };
-            // INVARIANT: the demand pre-check reserved this slot.
-            if self.rings[seg.shard as usize].try_push(req).is_err() {
-                return Err(CoreError::Config(
-                    "executor ring capacity invariant violated".into(),
-                ));
-            }
-            self.stats[seg.shard as usize].accepted += 1;
-            accepted.push(Submitted {
-                seq,
-                shard: seg.shard,
-                pos: seg.pos,
-                len: seg.len,
-            });
-        }
-        Ok(accepted)
     }
 
     /// Drains every ring, coalesces, and serves all batches on the worker
@@ -643,52 +578,38 @@ fn serve_cell<D: QueuedDevice>(cell: &mut WorkCell<'_, D>) {
                 .serve_write(run.not_before, run.local_offset, &run.data)
                 .map(|end| (end, Vec::new())),
         };
-        match served {
-            Ok((end, mut buf)) => {
+        let (end, mut buf, error) = match served {
+            Ok((end, buf)) => {
                 cell.busy += end.saturating_since(start);
-                let mut cursor = 0usize;
-                for p in &run.parents {
-                    let data = match run.kind {
-                        // Multi-parent reads slice the joint DMA buffer;
-                        // a single-parent read hands it over whole.
-                        ReqKind::Read if multi => buf[cursor..cursor + p.len as usize].to_vec(),
-                        ReqKind::Read => std::mem::take(&mut buf),
-                        ReqKind::Write => Vec::new(),
-                    };
-                    cursor += p.len as usize;
-                    cell.out.push(Completion {
-                        seq: p.seq,
-                        tenant: p.tenant,
-                        thread: p.thread,
-                        shard: cell.shard,
-                        kind: run.kind,
-                        local_offset: p.local_offset,
-                        len: p.len,
-                        end,
-                        data,
-                        coalesced: multi,
-                        error: None,
-                    });
-                }
+                (end, buf, None)
             }
-            Err(e) => {
-                let end = cell.device.clock();
-                for p in &run.parents {
-                    cell.out.push(Completion {
-                        seq: p.seq,
-                        tenant: p.tenant,
-                        thread: p.thread,
-                        shard: cell.shard,
-                        kind: run.kind,
-                        local_offset: p.local_offset,
-                        len: p.len,
-                        end,
-                        data: Vec::new(),
-                        coalesced: multi,
-                        error: Some(e.clone()),
-                    });
-                }
-            }
+            Err(e) => (cell.device.clock(), Vec::new(), Some(e)),
+        };
+        let mut cursor = 0usize;
+        for p in &run.parents {
+            let data = if run.kind == ReqKind::Write || error.is_some() {
+                Vec::new()
+            } else if multi {
+                // Multi-parent reads slice the joint DMA buffer; a
+                // single-parent read hands it over whole.
+                buf[cursor..cursor + p.len as usize].to_vec()
+            } else {
+                std::mem::take(&mut buf)
+            };
+            cursor += p.len as usize;
+            cell.out.push(Completion {
+                seq: p.seq,
+                tenant: p.tenant,
+                thread: p.thread,
+                shard: cell.shard,
+                kind: run.kind,
+                local_offset: p.local_offset,
+                len: p.len,
+                end,
+                data,
+                coalesced: multi,
+                error: error.clone(),
+            });
         }
     }
 }

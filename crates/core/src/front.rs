@@ -7,11 +7,11 @@
 //! operation is split by the [`InterleaveMap`] into per-shard segments,
 //! and each segment is served by the owning shard on its own clock. A
 //! blocking call serves its segments in place; queued, concurrent
-//! traffic goes through the executor's rings instead. Shards share *no*
-//! mutable state — separate buses, iMCs, FPGA pipelines, caches and RNG
-//! streams — which is what lets the
-//! [`ShardExecutor`](crate::exec::ShardExecutor) worker pool serve many
-//! shards concurrently.
+//! traffic goes through the executor's rings instead. Both end in the
+//! shard's one service routine. Shards share *no* mutable state —
+//! separate buses, iMCs, FPGA pipelines, caches and RNG streams — which
+//! is what lets the [`ShardExecutor`](crate::exec::ShardExecutor) worker
+//! pool serve many shards concurrently.
 //!
 //! The single-channel configuration ([`MultiChannelConfig::single`]) is
 //! the paper's artifact and stays bit-identical to driving a bare
@@ -25,10 +25,10 @@
 //! events.
 
 use crate::config::{NvdimmCConfig, PAGE_BYTES};
-use crate::error::CoreError;
+use crate::error::{check_range, CoreError};
 use crate::health::{DegradeReason, FailoverPolicy, HealthState, HealthTransition, RebuildReport};
-use crate::interleave::{InterleaveMap, Segment};
-use crate::shard::{BlockDevice, ChannelShard, CrashPoint, PowerFailReport, SystemStats};
+use crate::interleave::InterleaveMap;
+use crate::shard::{BlockDevice, ChannelShard, CrashPoint, Io, PowerFailReport, SystemStats};
 use nvdimmc_ddr::TraceEntry;
 use nvdimmc_sim::{SimDuration, SimTime};
 
@@ -42,10 +42,8 @@ const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 pub struct MultiChannelConfig {
     /// Per-shard system configuration (capacities are per channel).
     pub shard: NvdimmCConfig,
-    /// Number of channels (= shards).
+    /// Number of channels (= shards), page-interleaved.
     pub channels: u32,
-    /// Interleave stripe in bytes (multiple of 4 KB).
-    pub granularity_bytes: u64,
     /// Failover policy for degraded shards. The default never repairs
     /// inline.
     pub failover: FailoverPolicy,
@@ -62,16 +60,8 @@ impl MultiChannelConfig {
         MultiChannelConfig {
             shard,
             channels,
-            granularity_bytes: PAGE_BYTES,
             failover: FailoverPolicy::default(),
         }
-    }
-
-    /// Overrides the interleave granularity.
-    #[must_use]
-    pub fn with_granularity(mut self, bytes: u64) -> Self {
-        self.granularity_bytes = bytes;
-        self
     }
 
     /// Overrides the failover policy.
@@ -117,10 +107,9 @@ impl MultiChannelSystem {
         let MultiChannelConfig {
             shard: base,
             channels,
-            granularity_bytes,
             failover,
         } = cfg;
-        let map = InterleaveMap::new(channels, granularity_bytes)?;
+        let map = InterleaveMap::page_interleaved(channels)?;
         let mut shards = Vec::with_capacity(channels as usize);
         for i in 0..channels {
             let mut c = base.clone();
@@ -174,11 +163,7 @@ impl MultiChannelSystem {
 
     /// Merged system statistics over all shards.
     pub fn stats(&self) -> SystemStats {
-        let mut t = SystemStats::default();
-        for s in &self.shards {
-            t.merge(s.stats());
-        }
-        t
+        self.merged(|s| s.stats().clone(), SystemStats::merge)
     }
 
     /// Attaches a fault plan: the plan's deterministic per-channel split
@@ -194,11 +179,10 @@ impl MultiChannelSystem {
 
     /// Merged recovery statistics over all shards.
     pub fn recovery_stats(&self) -> crate::faults::RecoveryStats {
-        let mut t = crate::faults::RecoveryStats::default();
-        for s in &self.shards {
-            t.merge(&s.recovery_stats());
-        }
-        t
+        self.merged(
+            ChannelShard::recovery_stats,
+            crate::faults::RecoveryStats::merge,
+        )
     }
 
     /// Shards currently in degraded mode: `(index, reason, since)`.
@@ -271,29 +255,26 @@ impl MultiChannelSystem {
 
     /// Merged shared-bus statistics over all shards.
     pub fn bus_stats(&self) -> nvdimmc_ddr::BusStats {
-        let mut t = nvdimmc_ddr::BusStats::default();
-        for s in &self.shards {
-            t.merge(&s.bus_stats());
-        }
-        t
+        self.merged(ChannelShard::bus_stats, nvdimmc_ddr::BusStats::merge)
     }
 
     /// Merged DRAM-cache statistics over all shards.
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        let mut t = crate::cache::CacheStats::default();
-        for s in &self.shards {
-            t.merge(&s.cache_stats());
-        }
-        t
+        self.merged(ChannelShard::cache_stats, crate::cache::CacheStats::merge)
     }
 
     /// Merged FPGA statistics over all shards.
     pub fn fpga_stats(&self) -> crate::fpga::FpgaStats {
-        let mut t = crate::fpga::FpgaStats::default();
+        self.merged(ChannelShard::fpga_stats, crate::fpga::FpgaStats::merge)
+    }
+
+    /// Folds one per-shard statistic over every shard with its `merge`.
+    fn merged<T: Default>(&self, get: fn(&ChannelShard) -> T, merge: fn(&mut T, &T)) -> T {
+        let mut total = T::default();
         for s in &self.shards {
-            t.merge(&s.fpga_stats());
+            merge(&mut total, &get(s));
         }
-        t
+        total
     }
 
     /// Toggles bus-trace capture on every shard. Disabling returns each
@@ -316,14 +297,6 @@ impl MultiChannelSystem {
         }
     }
 
-    /// Drains every shard's captured trace (index = shard).
-    pub fn take_traces(&mut self) -> Vec<Vec<TraceEntry>> {
-        self.shards
-            .iter_mut()
-            .map(ChannelShard::take_trace)
-            .collect()
-    }
-
     /// Toggles the persistence journal on every shard.
     pub fn set_persist_journal(&mut self, on: bool) {
         for s in &mut self.shards {
@@ -331,21 +304,16 @@ impl MultiChannelSystem {
         }
     }
 
-    /// Drains every shard's persistence journal (index = shard).
-    pub fn take_persist_journals(&mut self) -> Vec<Vec<nvdimmc_host::PersistEvent>> {
-        self.shards
-            .iter_mut()
-            .map(ChannelShard::take_persist_journal)
-            .collect()
-    }
-
     /// Pre-loads a global page into its shard's cache (experiment setup).
     ///
     /// # Errors
     ///
-    /// Propagates fault-path errors.
+    /// [`CoreError::OutOfRange`] for a page past the capacity; otherwise
+    /// propagates fault-path errors.
     pub fn prefault(&mut self, page: u64) -> Result<(), CoreError> {
-        let (shard, local) = self.map.locate(page * PAGE_BYTES);
+        let offset = page.saturating_mul(PAGE_BYTES);
+        check_range(offset, PAGE_BYTES, self.capacity_bytes())?;
+        let (shard, local) = self.map.locate(offset);
         self.shards[shard as usize].prefault(local / PAGE_BYTES)
     }
 
@@ -360,7 +328,7 @@ impl MultiChannelSystem {
         if len == 0 {
             return Ok(());
         }
-        self.check_range(offset, len)?;
+        check_range(offset, len, self.capacity_bytes())?;
         let segs = self.map.split_range(offset, len);
         let mut flushed: Vec<(usize, u64, Vec<u64>)> = Vec::new();
         for seg in &segs {
@@ -400,17 +368,7 @@ impl MultiChannelSystem {
     ///
     /// Propagates configuration errors (none expected).
     pub fn into_recovered(self) -> Result<MultiChannelSystem, CoreError> {
-        let map = self.map;
-        let shards = self
-            .shards
-            .into_iter()
-            .map(ChannelShard::into_recovered)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(MultiChannelSystem {
-            shards,
-            map,
-            failover: self.failover,
-        })
+        self.reboot(ChannelShard::into_recovered)
     }
 
     /// Crash-sweep variant of [`MultiChannelSystem::into_recovered`]:
@@ -422,15 +380,21 @@ impl MultiChannelSystem {
     ///
     /// Propagates configuration errors (none expected).
     pub fn into_crash_recovered(self) -> Result<MultiChannelSystem, CoreError> {
-        let map = self.map;
-        let shards = self
-            .shards
-            .into_iter()
-            .map(ChannelShard::into_crash_recovered)
-            .collect::<Result<Vec<_>, _>>()?;
+        self.reboot(ChannelShard::into_crash_recovered)
+    }
+
+    /// Reboots every shard with `boot`, keeping the map and the policy.
+    fn reboot(
+        self,
+        boot: fn(ChannelShard) -> Result<ChannelShard, CoreError>,
+    ) -> Result<MultiChannelSystem, CoreError> {
         Ok(MultiChannelSystem {
-            shards,
-            map,
+            shards: self
+                .shards
+                .into_iter()
+                .map(boot)
+                .collect::<Result<Vec<_>, _>>()?,
+            map: self.map,
             failover: self.failover,
         })
     }
@@ -469,14 +433,6 @@ impl MultiChannelSystem {
         for s in &mut self.shards {
             s.crash_disarm();
         }
-    }
-
-    fn check_range(&self, offset: u64, len: u64) -> Result<(), CoreError> {
-        let capacity = self.capacity_bytes();
-        if offset.checked_add(len).is_none_or(|end| end > capacity) {
-            return Err(CoreError::OutOfRange { offset, capacity });
-        }
-        Ok(())
     }
 
     /// Catches a lagging shard up to the issue instant: the issuing
@@ -527,33 +483,28 @@ impl MultiChannelSystem {
         }
     }
 
-    /// Routes one read segment: catch-up, then the blocking shard call
-    /// under the failover policy.
-    fn route_read(
-        &mut self,
-        seg: &Segment,
-        t0: SimTime,
-        buf: &mut [u8],
-    ) -> Result<SimTime, CoreError> {
-        let idx = seg.shard as usize;
-        self.catch_up(idx, t0);
-        let local = seg.local_offset;
-        self.serve_failover(idx, |shard| shard.read_at(local, buf))?;
-        Ok(self.shards[idx].now())
-    }
-
-    /// Routes one write segment; see [`Self::route_read`].
-    fn route_write(
-        &mut self,
-        seg: &Segment,
-        t0: SimTime,
-        data: &[u8],
-    ) -> Result<SimTime, CoreError> {
-        let idx = seg.shard as usize;
-        self.catch_up(idx, t0);
-        let local = seg.local_offset;
-        self.serve_failover(idx, |shard| shard.write_at(local, data))?;
-        Ok(self.shards[idx].now())
+    /// The one segment routine behind every blocking read and write:
+    /// each segment catches its shard up to the issue instant, then runs
+    /// the shard's blocking call under the failover policy. Returns the
+    /// latency to the last segment's completion.
+    fn serve_segments(&mut self, offset: u64, mut io: Io<'_>) -> Result<SimDuration, CoreError> {
+        let len = io.len();
+        if len == 0 {
+            return Ok(SimDuration::ZERO);
+        }
+        check_range(offset, len, self.capacity_bytes())?;
+        let t0 = self.now();
+        let mut done = t0;
+        for seg in self.map.split_range(offset, len) {
+            let idx = seg.shard as usize;
+            self.catch_up(idx, t0);
+            let span = seg.pos..seg.pos + seg.len as usize;
+            self.serve_failover(idx, |shard| {
+                shard.serve_blocking(seg.local_offset, io.part(span.clone()))
+            })?;
+            done = done.max(self.shards[idx].now());
+        }
+        Ok(done.since(t0))
     }
 }
 
@@ -587,35 +538,11 @@ impl BlockDevice for MultiChannelSystem {
     }
 
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration, CoreError> {
-        let len = buf.len() as u64;
-        if len == 0 {
-            return Ok(SimDuration::ZERO);
-        }
-        self.check_range(offset, len)?;
-        let t0 = self.now();
-        let mut done = t0;
-        for seg in self.map.split_range(offset, len) {
-            let slice = &mut buf[seg.pos..seg.pos + seg.len as usize];
-            let end = self.route_read(&seg, t0, slice)?;
-            done = done.max(end);
-        }
-        Ok(done.since(t0))
+        self.serve_segments(offset, Io::Read(buf))
     }
 
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration, CoreError> {
-        let len = data.len() as u64;
-        if len == 0 {
-            return Ok(SimDuration::ZERO);
-        }
-        self.check_range(offset, len)?;
-        let t0 = self.now();
-        let mut done = t0;
-        for seg in self.map.split_range(offset, len) {
-            let slice = &data[seg.pos..seg.pos + seg.len as usize];
-            let end = self.route_write(&seg, t0, slice)?;
-            done = done.max(end);
-        }
-        Ok(done.since(t0))
+        self.serve_segments(offset, Io::Write(data))
     }
 }
 

@@ -89,7 +89,7 @@ pub use coalesce::{coalesce, CoalescedReq, ParentSpan};
 pub use config::{Backend, EvictionPolicyKind, NvdimmCConfig, PAGE_BYTES};
 pub use cp::{CpAck, CpCommand, CpOpcode};
 pub use error::CoreError;
-pub use exec::{Completion, ExecStats, ExecutorConfig, ShardExecutor, Submitted};
+pub use exec::{Completion, ExecStats, ExecutorConfig, GlobalOp, ShardExecutor, Submitted};
 pub use faults::{FaultInjector, FaultKind, FaultPlan, RecoveryParams, RecoveryStats};
 pub use fpga::{AckFault, Fpga};
 pub use front::{MultiChannelConfig, MultiChannelSystem};

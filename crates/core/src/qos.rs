@@ -249,11 +249,6 @@ impl TokenBucket {
         }
     }
 
-    /// Whether the bucket enforces anything.
-    pub fn is_unlimited(&self) -> bool {
-        self.rate_per_sec == 0
-    }
-
     /// Mints tokens for the clock advance since the last refill.
     /// A rewound clock (a shard lagging the global max) mints nothing —
     /// refill is monotone, so admission stays deterministic.

@@ -19,7 +19,7 @@
 use crate::cache::DramCache;
 use crate::config::{Backend, NvdimmCConfig, PAGE_BYTES};
 use crate::cp::{CpAck, CpCommand, CpOpcode, ACK_ERR_UNCORRECTABLE};
-use crate::error::CoreError;
+use crate::error::{check_range, CoreError};
 use crate::faults::{FaultInjector, FaultKind, RecoveryStats};
 use crate::fpga::{AckFault, Fpga};
 use crate::health::{DegradeReason, HealthState, HealthTransition, RebuildReport};
@@ -67,7 +67,8 @@ pub trait BlockDevice {
 /// issuing thread's software cost ([`QueuedDevice::pre_cost`]) and CPU
 /// copy ([`QueuedDevice::copy_cost`]) elapse on the thread's own timeline
 /// and overlap other threads' device phases. Implemented by
-/// [`ChannelShard`] and [`crate::baseline::EmulatedPmem`]; the
+/// [`ChannelShard`] and [`crate::baseline::EmulatedPmem`], whose
+/// [`BlockDevice`] calls are the same serve on an idle device; the
 /// [`crate::exec::ShardExecutor`] fans batches out over implementations
 /// from its worker pool, each shard claimed by exactly one worker.
 pub trait QueuedDevice: Send {
@@ -125,6 +126,36 @@ pub trait QueuedDevice: Send {
     fn note_queue_depth(&mut self, _depth: usize) {}
 }
 
+/// Direction and buffer of one device access — the only thing a read and
+/// a write serve differ in.
+pub(crate) enum Io<'a> {
+    /// Fill the buffer.
+    Read(&'a mut [u8]),
+    /// Store the payload.
+    Write(&'a [u8]),
+}
+
+impl Io<'_> {
+    pub(crate) fn len(&self) -> u64 {
+        match self {
+            Io::Read(buf) => buf.len() as u64,
+            Io::Write(data) => data.len() as u64,
+        }
+    }
+
+    pub(crate) fn is_write(&self) -> bool {
+        matches!(self, Io::Write(_))
+    }
+
+    /// The sub-access covering `range` of the buffer.
+    pub(crate) fn part(&mut self, range: std::ops::Range<usize>) -> Io<'_> {
+        match self {
+            Io::Read(buf) => Io::Read(&mut buf[range]),
+            Io::Write(data) => Io::Write(&data[range]),
+        }
+    }
+}
+
 /// Zero-time backdoor [`Memory`] view of the DRAM array, used for the
 /// *functional* data path (the CPU cache model needs a byte-addressable
 /// backing store). Timing is accounted separately through the iMC.
@@ -171,10 +202,6 @@ pub struct SystemStats {
     pub writebacks: u64,
     /// Merged writeback+cachefill CP transactions issued.
     pub merged_ops: u64,
-    /// Read-operation latency distribution.
-    pub read_latency: Histogram,
-    /// Write-operation latency distribution.
-    pub write_latency: Histogram,
     /// Fault-service latency distribution (miss path only).
     pub fault_latency: Histogram,
 }
@@ -190,8 +217,6 @@ impl SystemStats {
         self.zero_fills += other.zero_fills;
         self.writebacks += other.writebacks;
         self.merged_ops += other.merged_ops;
-        self.read_latency.merge(&other.read_latency);
-        self.write_latency.merge(&other.write_latency);
         self.fault_latency.merge(&other.fault_latency);
     }
 }
@@ -294,30 +319,6 @@ impl PowerFailReport {
     }
 }
 
-/// Driver-side recovery counters (CP retransmit machinery, cache scrub,
-/// power-fail accounting). Carried across power cycles by
-/// [`ChannelShard::into_recovered`].
-#[derive(Debug, Clone, Copy, Default)]
-struct DriverRecovery {
-    cp_attempt_timeouts: u64,
-    cp_retransmits: u64,
-    cp_recovered: u64,
-    cp_transactions_failed: u64,
-    slots_corrupted: u64,
-    scrub_detected: u64,
-    scrub_refills: u64,
-    scrub_dropped_clean: u64,
-    cache_corruption_surfaced: u64,
-    power_fails_fired: u64,
-    power_fails_recovered: u64,
-    degraded_entries: u64,
-    rebuilds_started: u64,
-    rebuilds_completed: u64,
-    rebuilds_failed: u64,
-    rebuild_writebacks: u64,
-    rebuild_pages_lost: u64,
-}
-
 /// One fully assembled NVDIMM-C channel.
 ///
 /// # Example
@@ -381,7 +382,12 @@ pub struct ChannelShard {
     scrub: Option<HashMap<u64, u32>>,
     /// An injected power failure waiting to fire at the next checkpoint.
     power_fail_pending: bool,
-    drec: DriverRecovery,
+    /// The driver's own recovery counters (CP retransmit machinery,
+    /// cache scrub, power-fail and rebuild accounting); the NAND, FPGA
+    /// and injector fields are filled in by
+    /// [`ChannelShard::recovery_stats`]. Carried across power cycles by
+    /// [`ChannelShard::into_recovered`].
+    drec: RecoveryStats,
     /// Priority class tagged onto cache slots filled by the current
     /// tenant's requests (0 = default/background; set per coalesced run
     /// by the executor through [`QueuedDevice::set_fill_priority`]).
@@ -463,7 +469,7 @@ impl ChannelShard {
             shard_index: 0,
             scrub: None,
             power_fail_pending: false,
-            drec: DriverRecovery::default(),
+            drec: RecoveryStats::default(),
             fill_prio: 0,
             scrub_cursor: 0,
             crash: None,
@@ -935,84 +941,117 @@ impl ChannelShard {
         }
     }
 
-    fn check_range(&self, offset: u64, len: u64) -> Result<(), CoreError> {
-        let capacity = self.nvmc.export_bytes();
-        if offset.checked_add(len).is_none_or(|end| end > capacity) {
-            return Err(CoreError::OutOfRange { offset, capacity });
-        }
-        Ok(())
-    }
-
-    /// The functional+timing core of a read: per-page fault-in, TLB walk
-    /// and a real bus transfer issued at `pace` per cacheline (ZERO = the
-    /// tCCD-limited pipelined rate). The caller owns software costs and
-    /// any CPU-copy overlap.
-    fn read_core(
+    /// A blocking call: the issuing thread's software cost over the pages
+    /// the range spans, then the request served on the idle device it
+    /// leaves behind. Returns the operation latency.
+    pub(crate) fn serve_blocking(
         &mut self,
         offset: u64,
-        buf: &mut [u8],
-        pace: SimDuration,
-    ) -> Result<(), CoreError> {
-        let first = offset / PAGE_BYTES;
-        let last = (offset + buf.len() as u64 - 1) / PAGE_BYTES;
-        let mut pos = 0usize;
-        for page in first..=last {
-            self.take_power_fail()?;
-            self.crash_tick(CrashPointKind::BusOp)?;
-            let slot = self.ensure_resident(page)?;
-            self.scrub_verify(slot, page)?;
-            let _ = self.tlb.translate(&mut self.pt, page, false);
-            let in_page = (offset + pos as u64) % PAGE_BYTES;
-            let n = ((PAGE_BYTES - in_page) as usize).min(buf.len() - pos);
-            let addr = self.layout.slot_addr(slot) + in_page;
-            // Timing: a real bus transfer (stalls behind refresh windows).
-            let mut scratch = vec![0u8; n];
-            let end =
-                self.imc
-                    .read_bytes_paced(&mut self.bus, self.clock, addr, &mut scratch, pace)?;
-            self.clock = end;
-            // Function: through the CPU cache (sees dirty lines).
-            self.cpu.load(
-                &mut DramBackdoor(&mut self.bus),
-                addr,
-                &mut buf[pos..pos + n],
-            );
-            pos += n;
-        }
-        Ok(())
+        io: Io<'_>,
+    ) -> Result<SimDuration, CoreError> {
+        let t0 = self.clock;
+        let len = io.len();
+        let sw = if len == 0 {
+            SimDuration::ZERO
+        } else {
+            // Saturating: an overflowing range is refused by `serve`.
+            let pages = offset.saturating_add(len - 1) / PAGE_BYTES - offset / PAGE_BYTES + 1;
+            self.sw_cost(len, pages, io.is_write())
+        };
+        let end = self.serve(t0 + sw, offset, io)?;
+        Ok(end.since(t0))
     }
 
-    /// Write counterpart of [`ChannelShard::read_core`].
-    fn write_core(&mut self, offset: u64, data: &[u8], pace: SimDuration) -> Result<(), CoreError> {
+    /// The one service routine behind every read and write, blocking or
+    /// queued: per-page fault-in, TLB walk and a real bus transfer.
+    ///
+    /// A request whose device phase finds the shard idle (`not_before`
+    /// at or after the clock) runs lock-step with the issuing thread's
+    /// copy: the transfer is paced at the CPU copy rate, so its refresh
+    /// exposure matches a load-driven copy, and the slower of the two
+    /// wins. A request that finds the shard busy overlaps its copy with
+    /// other requests' transfers, so the shard holds only the per-op
+    /// serialized section — the mapping lock plus the raw
+    /// (tCCD-pipelined) bus occupancy. That serialized demand is where
+    /// the paper's Figure 9 knee comes from. Returns the completion
+    /// instant on the shard clock.
+    fn serve(
+        &mut self,
+        not_before: SimTime,
+        offset: u64,
+        mut io: Io<'_>,
+    ) -> Result<SimTime, CoreError> {
+        let len = io.len();
+        if len == 0 {
+            return Ok(self.clock.max(not_before));
+        }
+        check_range(offset, len, self.nvmc.export_bytes())?;
+        self.begin_op();
+        let write = io.is_write();
+        if let (true, HealthState::Degraded { reason, .. }) = (write, self.health) {
+            return Err(CoreError::DegradedShard {
+                shard: self.shard_index,
+                reason,
+            });
+        }
+        let (pace, copy_done) = if self.clock <= not_before {
+            self.clock = not_before;
+            let p = &self.cfg.perf;
+            (p.copy_time(64), not_before + p.copy_time(len))
+        } else {
+            self.clock += self.cfg.perf.mapping_serial;
+            (SimDuration::ZERO, self.clock)
+        };
         let first = offset / PAGE_BYTES;
-        let last = (offset + data.len() as u64 - 1) / PAGE_BYTES;
+        let last = (offset + len - 1) / PAGE_BYTES;
         let mut pos = 0usize;
         for page in first..=last {
             self.take_power_fail()?;
             self.crash_tick(CrashPointKind::BusOp)?;
             let slot = self.ensure_resident(page)?;
             self.scrub_verify(slot, page)?;
-            let _ = self.tlb.translate(&mut self.pt, page, true);
-            self.cache.mark_dirty(slot);
+            let _ = self.tlb.translate(&mut self.pt, page, write);
+            if write {
+                self.cache.mark_dirty(slot);
+            }
             let in_page = (offset + pos as u64) % PAGE_BYTES;
-            let n = ((PAGE_BYTES - in_page) as usize).min(data.len() - pos);
+            let n = ((PAGE_BYTES - in_page) as usize).min(len as usize - pos);
             let addr = self.layout.slot_addr(slot) + in_page;
-            // Timing: bus occupancy of the store stream (read-shaped
-            // transfer; tCWL ≈ tCL at this fidelity).
+            // Timing: a real bus transfer (stalls behind refresh windows).
+            // A store stream occupies the bus read-shaped (tCWL ≈ tCL at
+            // this fidelity).
             let mut scratch = vec![0u8; n];
-            let end =
+            self.clock =
                 self.imc
                     .read_bytes_paced(&mut self.bus, self.clock, addr, &mut scratch, pace)?;
-            self.clock = end;
-            // Function: stores land in the CPU cache (write-back!); the
-            // DRAM array only sees them at clflush/eviction time — which
-            // is exactly the §V-B hazard the driver's coherence handles.
-            self.cpu
-                .store(&mut DramBackdoor(&mut self.bus), addr, &data[pos..pos + n]);
-            self.scrub_note(slot);
+            match &mut io {
+                // Function: loads go through the CPU cache (they see
+                // dirty lines).
+                Io::Read(buf) => self.cpu.load(
+                    &mut DramBackdoor(&mut self.bus),
+                    addr,
+                    &mut buf[pos..pos + n],
+                ),
+                // Stores land in the CPU cache (write-back!); the DRAM
+                // array only sees them at clflush/eviction time — which
+                // is exactly the §V-B hazard the driver's coherence
+                // handles.
+                Io::Write(data) => {
+                    self.cpu
+                        .store(&mut DramBackdoor(&mut self.bus), addr, &data[pos..pos + n]);
+                    self.scrub_note(slot);
+                }
+            }
             pos += n;
         }
-        Ok(())
+        self.clock = self.clock.max(copy_done);
+        self.drain_detector_idle();
+        if write {
+            self.stats.writes += 1;
+        } else {
+            self.stats.reads += 1;
+        }
+        Ok(self.clock)
     }
 
     /// Flush phase of a persist: `clflush` every resident page overlapping
@@ -1025,7 +1064,7 @@ impl ChannelShard {
         offset: u64,
         len: u64,
     ) -> Result<(u64, Vec<u64>), CoreError> {
-        self.check_range(offset, len)?;
+        check_range(offset, len, self.nvmc.export_bytes())?;
         let first = offset / PAGE_BYTES;
         let last = (offset + len - 1) / PAGE_BYTES;
         let mut lines = 0u64;
@@ -1089,8 +1128,14 @@ impl ChannelShard {
     ///
     /// # Errors
     ///
-    /// Propagates fault-path errors.
+    /// [`CoreError::OutOfRange`] for a page past the capacity; otherwise
+    /// propagates fault-path errors.
     pub fn prefault(&mut self, page: u64) -> Result<(), CoreError> {
+        check_range(
+            page.saturating_mul(PAGE_BYTES),
+            PAGE_BYTES,
+            self.nvmc.export_bytes(),
+        )?;
         self.ensure_resident(page)?;
         Ok(())
     }
@@ -1188,7 +1233,6 @@ impl ChannelShard {
         let m = self.nvmc.ftl().media().stats();
         let fl = self.nvmc.ftl_stats();
         let fg = self.fpga.stats();
-        let d = &self.drec;
         let (sched, fired) = self.injector.as_ref().map_or(
             (
                 [0; crate::faults::FAULT_KINDS],
@@ -1207,28 +1251,12 @@ impl ChannelShard {
             cmd_decode_failures: fg.cmd_decode_failures,
             nand_errors_nacked: fg.nand_errors_nacked,
             replayed_acks: fg.replayed_acks,
-            cp_attempt_timeouts: d.cp_attempt_timeouts,
-            cp_retransmits: d.cp_retransmits,
-            cp_recovered: d.cp_recovered,
-            cp_transactions_failed: d.cp_transactions_failed,
             overrun_stalls: fg.overrun_stalls,
             bursts_split: fg.bursts_split,
             bursts_resumed: fg.bursts_resumed,
-            slots_corrupted: d.slots_corrupted,
-            scrub_detected: d.scrub_detected,
-            scrub_refills: d.scrub_refills,
-            scrub_dropped_clean: d.scrub_dropped_clean,
-            cache_corruption_surfaced: d.cache_corruption_surfaced,
-            power_fails_fired: d.power_fails_fired,
-            power_fails_recovered: d.power_fails_recovered,
-            degraded_entries: d.degraded_entries,
-            rebuilds_started: d.rebuilds_started,
-            rebuilds_completed: d.rebuilds_completed,
-            rebuilds_failed: d.rebuilds_failed,
-            rebuild_writebacks: d.rebuild_writebacks,
-            rebuild_pages_lost: d.rebuild_pages_lost,
             faults_scheduled: sched.iter().sum(),
             faults_fired: fired.iter().sum(),
+            ..self.drec
         }
     }
 
@@ -1572,56 +1600,11 @@ impl BlockDevice for ChannelShard {
     }
 
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration, CoreError> {
-        let len = buf.len() as u64;
-        if len == 0 {
-            return Ok(SimDuration::ZERO);
-        }
-        self.check_range(offset, len)?;
-        self.begin_op();
-        let t0 = self.clock;
-        let first = offset / PAGE_BYTES;
-        let last = (offset + len - 1) / PAGE_BYTES;
-        self.clock += self.sw_cost(len, last - first + 1, false);
-        let copy = self.cfg.perf.copy_time(len);
-        let transfer_start = self.clock;
-        // Paced at the CPU copy rate so the transfer's refresh exposure
-        // matches a load-driven copy.
-        self.read_core(offset, buf, self.cfg.perf.copy_time(64))?;
-        // The CPU-side copy overlaps the bus transfer; the slower wins.
-        self.clock = self.clock.max(transfer_start + copy);
-        self.drain_detector_idle();
-        let lat = self.clock.since(t0);
-        self.stats.reads += 1;
-        self.stats.read_latency.record(lat);
-        Ok(lat)
+        self.serve_blocking(offset, Io::Read(buf))
     }
 
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration, CoreError> {
-        let len = data.len() as u64;
-        if len == 0 {
-            return Ok(SimDuration::ZERO);
-        }
-        self.check_range(offset, len)?;
-        self.begin_op();
-        if let HealthState::Degraded { reason, .. } = self.health {
-            return Err(CoreError::DegradedShard {
-                shard: self.shard_index,
-                reason,
-            });
-        }
-        let t0 = self.clock;
-        let first = offset / PAGE_BYTES;
-        let last = (offset + len - 1) / PAGE_BYTES;
-        self.clock += self.sw_cost(len, last - first + 1, true);
-        let copy = self.cfg.perf.copy_time(len);
-        let transfer_start = self.clock;
-        self.write_core(offset, data, self.cfg.perf.copy_time(64))?;
-        self.clock = self.clock.max(transfer_start + copy);
-        self.drain_detector_idle();
-        let lat = self.clock.since(t0);
-        self.stats.writes += 1;
-        self.stats.write_latency.record(lat);
-        Ok(lat)
+        self.serve_blocking(offset, Io::Write(data))
     }
 }
 
@@ -1648,38 +1631,7 @@ impl QueuedDevice for ChannelShard {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<SimTime, CoreError> {
-        let len = buf.len() as u64;
-        if len == 0 {
-            return Ok(self.clock.max(not_before));
-        }
-        self.check_range(offset, len)?;
-        self.begin_op();
-        if self.clock <= not_before {
-            // Device idle at arrival: the op runs lock-step with the
-            // issuing thread's copy, exactly like a direct blocking call.
-            self.clock = not_before;
-            let t0 = self.clock;
-            let copy = self.cfg.perf.copy_time(len);
-            let transfer_start = self.clock;
-            self.read_core(offset, buf, self.cfg.perf.copy_time(64))?;
-            self.clock = self.clock.max(transfer_start + copy);
-            self.drain_detector_idle();
-            self.stats.reads += 1;
-            self.stats.read_latency.record(self.clock.since(t0));
-        } else {
-            // Contended: the issuing thread's copy overlaps other
-            // requests' transfers, so the shard holds only the per-op
-            // serialized section — the mapping lock plus the raw
-            // (tCCD-pipelined) bus occupancy. This is the serialized
-            // demand the paper's Figure 9 knee comes from.
-            let t0 = self.clock;
-            self.clock += self.cfg.perf.mapping_serial;
-            self.read_core(offset, buf, SimDuration::ZERO)?;
-            self.drain_detector_idle();
-            self.stats.reads += 1;
-            self.stats.read_latency.record(self.clock.since(t0));
-        }
-        Ok(self.clock)
+        self.serve(not_before, offset, Io::Read(buf))
     }
 
     fn serve_write(
@@ -1688,37 +1640,7 @@ impl QueuedDevice for ChannelShard {
         offset: u64,
         data: &[u8],
     ) -> Result<SimTime, CoreError> {
-        let len = data.len() as u64;
-        if len == 0 {
-            return Ok(self.clock.max(not_before));
-        }
-        self.check_range(offset, len)?;
-        self.begin_op();
-        if let HealthState::Degraded { reason, .. } = self.health {
-            return Err(CoreError::DegradedShard {
-                shard: self.shard_index,
-                reason,
-            });
-        }
-        if self.clock <= not_before {
-            self.clock = not_before;
-            let t0 = self.clock;
-            let copy = self.cfg.perf.copy_time(len);
-            let transfer_start = self.clock;
-            self.write_core(offset, data, self.cfg.perf.copy_time(64))?;
-            self.clock = self.clock.max(transfer_start + copy);
-            self.drain_detector_idle();
-            self.stats.writes += 1;
-            self.stats.write_latency.record(self.clock.since(t0));
-        } else {
-            let t0 = self.clock;
-            self.clock += self.cfg.perf.mapping_serial;
-            self.write_core(offset, data, SimDuration::ZERO)?;
-            self.drain_detector_idle();
-            self.stats.writes += 1;
-            self.stats.write_latency.record(self.clock.since(t0));
-        }
-        Ok(self.clock)
+        self.serve(not_before, offset, Io::Write(data))
     }
 
     fn drain_trace(&mut self) -> Vec<TraceEntry> {
@@ -2592,17 +2514,17 @@ mod tests {
             reads: 3,
             ..SystemStats::default()
         };
-        a.read_latency.record(SimDuration::from_us(1.0));
+        a.fault_latency.record(SimDuration::from_us(1.0));
         let mut b = SystemStats {
             reads: 5,
             faults: 2,
             ..SystemStats::default()
         };
-        b.read_latency.record(SimDuration::from_us(3.0));
+        b.fault_latency.record(SimDuration::from_us(3.0));
         a.merge(&b);
         assert_eq!(a.reads, 8);
         assert_eq!(a.faults, 2);
-        assert_eq!(a.read_latency.count(), 2);
-        assert_eq!(a.read_latency.mean(), SimDuration::from_us(2.0));
+        assert_eq!(a.fault_latency.count(), 2);
+        assert_eq!(a.fault_latency.mean(), SimDuration::from_us(2.0));
     }
 }

@@ -22,9 +22,10 @@
 //! writeback/cachefill CP traffic continues for the whole run and armed
 //! mailbox/window faults always find a command to bite on.
 
+use crate::verify::{ReadBack, DIGEST_SEED};
 use nvdimmc_core::{
-    BlockDevice, ChannelShard, CoreError, ExecutorConfig, FaultKind, FaultPlan, MultiChannelConfig,
-    MultiChannelSystem, NvdimmCConfig, RecoveryParams, RecoveryStats, ShardExecutor, PAGE_BYTES,
+    BlockDevice, CoreError, FaultKind, FaultPlan, MultiChannelConfig, MultiChannelSystem,
+    NvdimmCConfig, RecoveryParams, RecoveryStats, PAGE_BYTES,
 };
 use nvdimmc_ddr::TraceEntry;
 use nvdimmc_nand::ecc::crc32;
@@ -260,89 +261,25 @@ impl FaultCampaign {
         // corrupted slot, closing the detection ledger.
         //
         // The quiescent case (every armed fault consumed, no shard left
-        // degraded — the standard campaign shape) batches the sweep
-        // through the scale-out [`ShardExecutor`]: reads are ring-queued
-        // per shard, served in discrete-event order, and the payloads are
-        // folded back in page order so the digest is unchanged. A
-        // drain-cap trip or a still-degraded shard falls back to the
-        // blocking per-page loop, whose power-cycle and failover
-        // semantics cannot be replayed from a half-served batch. Trace
-        // capture is untouched either way: entries stay in each shard's
-        // recorder until the epoch is spliced below.
+        // degraded — the standard campaign shape) batches the read-back
+        // through the scale-out executor. A drain-cap trip or a
+        // still-degraded shard falls back to the blocking per-page loop,
+        // whose power-cycle and failover semantics cannot be replayed
+        // from a half-served batch. Trace capture is untouched either
+        // way: entries stay in each shard's recorder until the epoch is
+        // spliced below.
+        let mut check = ReadBack::new(&oracle, &rejected);
         if sys.faults_quiescent() && sys.degraded_shards().is_empty() {
-            let mut exec = ShardExecutor::new(self.channels as usize, ExecutorConfig::default());
-            let mut page_data: Vec<Option<Vec<u8>>> = vec![None; pages as usize];
-            fn fold_sweep(
-                exec: &mut ShardExecutor,
-                shards: &mut [ChannelShard],
-                page_data: &mut [Option<Vec<u8>>],
-            ) -> Result<(), CoreError> {
-                for c in exec.dispatch(shards) {
-                    if let Some(e) = c.error {
-                        return Err(e);
-                    }
-                    page_data[c.thread as usize] = Some(c.data);
-                }
-                Ok(())
-            }
-            {
-                let (shards, map, t0) = sys.parts_mut();
-                for page in 0..pages {
-                    if poisoned.contains(&page) {
-                        continue;
-                    }
-                    loop {
-                        match exec.submit_read(map, page as u32, page * PAGE_BYTES, PAGE_BYTES, t0)
-                        {
-                            Ok(_) => break,
-                            Err(CoreError::Overloaded { .. }) => {
-                                fold_sweep(&mut exec, shards, &mut page_data)?;
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                fold_sweep(&mut exec, shards, &mut page_data)?;
-            }
-            for page in 0..pages {
-                if poisoned.contains(&page) {
-                    report.pages_excluded += 1;
-                    continue;
-                }
-                let got = page_data[page as usize].take().ok_or_else(|| {
-                    CoreError::Config("verification sweep lost a completion".into())
-                })?;
-                if got != oracle[page as usize] {
-                    report.oracle_mismatches += 1;
-                }
-                if rejected.get(&page) == Some(&crc32(&got)) {
-                    report.rejected_write_leaks += 1;
-                }
-                report.digest = report
-                    .digest
-                    .wrapping_mul(0x0000_0100_0000_01B3)
-                    .wrapping_add(u64::from(crc32(&got)));
-            }
+            check.sweep(&mut sys, pages, |page| poisoned.contains(&page))?;
         } else {
             for page in 0..pages {
                 if poisoned.contains(&page) {
-                    report.pages_excluded += 1;
+                    check.excluded += 1;
                     continue;
                 }
                 let off = page * PAGE_BYTES;
                 match sys.read_at(off, &mut buf) {
-                    Ok(_) => {
-                        if buf != oracle[page as usize] {
-                            report.oracle_mismatches += 1;
-                        }
-                        if rejected.get(&page) == Some(&crc32(&buf)) {
-                            report.rejected_write_leaks += 1;
-                        }
-                        report.digest = report
-                            .digest
-                            .wrapping_mul(0x0000_0100_0000_01B3)
-                            .wrapping_add(u64::from(crc32(&buf)));
-                    }
+                    Ok(_) => check.judge(page, &buf),
                     // A straggler power failure from a drain cap trip.
                     Err(CoreError::PowerInterrupted) => {
                         report.power_cycles += 1;
@@ -354,25 +291,20 @@ impl FaultCampaign {
                             sys.set_trace_capture(true);
                         }
                         sys.read_at(off, &mut buf)?;
-                        if buf != oracle[page as usize] {
-                            report.oracle_mismatches += 1;
-                        }
-                        if rejected.get(&page) == Some(&crc32(&buf)) {
-                            report.rejected_write_leaks += 1;
-                        }
-                        report.digest = report
-                            .digest
-                            .wrapping_mul(0x0000_0100_0000_01B3)
-                            .wrapping_add(u64::from(crc32(&buf)));
+                        check.judge(page, &buf);
                     }
                     Err(CoreError::DegradedShard { .. }) => {
                         report.degraded_rejections += 1;
-                        report.pages_excluded += 1;
+                        check.excluded += 1;
                     }
                     Err(e) => return Err(e),
                 }
             }
         }
+        report.pages_excluded += check.excluded;
+        report.oracle_mismatches += check.mismatches;
+        report.rejected_write_leaks += check.leaks;
+        report.digest = check.digest;
         report.degraded_shards = sys.degraded_shards().len() as u64;
         report.recovery = sys.recovery_stats();
         report.final_clock = sys.now();
@@ -464,7 +396,7 @@ impl CampaignReport {
             writes_rejected: 0,
             rejected_write_leaks: 0,
             oracle_mismatches: 0,
-            digest: 0xCBF2_9CE4_8422_2325,
+            digest: DIGEST_SEED,
             recovery: RecoveryStats::default(),
             final_clock: SimTime::ZERO,
         }

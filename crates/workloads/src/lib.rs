@@ -51,6 +51,7 @@ pub mod qostest;
 pub mod soak;
 pub mod stream;
 pub mod tpch;
+mod verify;
 
 pub use concurrent::{ConcurrentFio, ConcurrentReport};
 pub use crashsweep::{

@@ -19,10 +19,9 @@
 //! same [`QosReport`] digest bit-exactly.
 
 use nvdimmc_core::{
-    BlockDevice, CoreError, ExecutorConfig, FaultKind, InterleaveMap, MaintStats,
+    BlockDevice, CoreError, ExecutorConfig, FaultKind, GlobalOp, InterleaveMap, MaintStats,
     MaintenanceConfig, MaintenanceScheduler, NvdimmCConfig, Priority, QosEngine, QosSnapshot,
-    ReqKind, ShardExecutor, SloClass, SloTargets, System, TenantId, TenantSpec, WfqArbiter,
-    PAGE_BYTES,
+    ShardExecutor, SloClass, SloTargets, System, TenantId, TenantSpec, WfqArbiter, PAGE_BYTES,
 };
 use nvdimmc_sim::{DeterministicRng, Histogram, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -229,19 +228,12 @@ impl QosTestConfig {
                         report.ops_throttled += 1;
                         continue;
                     }
-                    let res = if write {
-                        exec.submit_for(
-                            &map,
-                            spec.id,
-                            ti as u32,
-                            ReqKind::Write,
-                            off,
-                            now,
-                            &payload,
-                        )
+                    let op = if write {
+                        GlobalOp::write(ti as u32, off, &payload, now)
                     } else {
-                        exec.submit_read_for(&map, spec.id, ti as u32, off, PAGE_BYTES, now)
+                        GlobalOp::read(ti as u32, off, PAGE_BYTES, now)
                     };
+                    let res = exec.submit(&map, op.for_tenant(spec.id));
                     match res {
                         Ok(subs) => {
                             moved = true;

@@ -15,10 +15,10 @@
 //! the repair sequence are pure functions of [`SoakConfig`], so the
 //! same config reproduces the same [`SoakReport`] bit-exactly.
 
+use crate::verify::{ReadBack, DIGEST_SEED};
 use nvdimmc_core::{
-    BlockDevice, ChannelShard, CoreError, ExecutorConfig, FailoverPolicy, FaultKind,
-    MultiChannelConfig, MultiChannelSystem, NvdimmCConfig, RecoveryStats, ShardExecutor,
-    PAGE_BYTES,
+    BlockDevice, CoreError, FailoverPolicy, FaultKind, MultiChannelConfig, MultiChannelSystem,
+    NvdimmCConfig, RecoveryStats, PAGE_BYTES,
 };
 use nvdimmc_nand::ecc::crc32;
 use nvdimmc_sim::{DeterministicRng, Histogram, SimDuration, SimTime};
@@ -239,63 +239,14 @@ impl SoakConfig {
         }
 
         // Phase 4 — verification: byte-exact read-back against the
-        // oracle, no rejected payload visible. The sweep batches through
-        // the scale-out executor — pages stream onto the per-shard rings
-        // (adjacent pages coalesce into joint DMAs on one channel) and
-        // every completion carries its payload back; the digest still
-        // folds in page order, so it is deterministic.
-        let mut exec = ShardExecutor::new(sys.channels() as usize, ExecutorConfig::default());
-        let mut page_data: Vec<Option<Vec<u8>>> = vec![None; pages as usize];
-        fn fold_sweep(
-            exec: &mut ShardExecutor,
-            shards: &mut [ChannelShard],
-            page_data: &mut [Option<Vec<u8>>],
-        ) -> Result<(), CoreError> {
-            for c in exec.dispatch(shards) {
-                if let Some(e) = c.error {
-                    return Err(e);
-                }
-                page_data[c.thread as usize] = Some(c.data);
-            }
-            Ok(())
-        }
-        {
-            let (shards, map, t0) = sys.parts_mut();
-            for page in 0..pages {
-                if excluded.contains(&page) {
-                    continue;
-                }
-                loop {
-                    match exec.submit_read(map, page as u32, page * PAGE_BYTES, PAGE_BYTES, t0) {
-                        Ok(_) => break,
-                        Err(CoreError::Overloaded { .. }) => {
-                            fold_sweep(&mut exec, shards, &mut page_data)?;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-            fold_sweep(&mut exec, shards, &mut page_data)?;
-        }
-        for page in 0..pages {
-            if excluded.contains(&page) {
-                report.pages_excluded += 1;
-                continue;
-            }
-            let got = page_data[page as usize]
-                .take()
-                .ok_or_else(|| CoreError::Config("verification sweep lost a completion".into()))?;
-            if got != oracle[page as usize] {
-                report.oracle_mismatches += 1;
-            }
-            if rejected.get(&page) == Some(&crc32(&got)) {
-                report.rejected_write_leaks += 1;
-            }
-            report.digest = report
-                .digest
-                .wrapping_mul(0x0000_0100_0000_01B3)
-                .wrapping_add(u64::from(crc32(&got)));
-        }
+        // oracle, no rejected payload visible, batched through the
+        // scale-out executor.
+        let mut check = ReadBack::new(&oracle, &rejected);
+        check.sweep(&mut sys, pages, |page| excluded.contains(&page))?;
+        report.pages_excluded += check.excluded;
+        report.oracle_mismatches += check.mismatches;
+        report.rejected_write_leaks += check.leaks;
+        report.digest = check.digest;
 
         report.waves = waves;
         report.healthy = LatencySummary::from(&healthy_lat);
@@ -397,7 +348,7 @@ impl SoakReport {
             impaired: LatencySummary::default(),
             degraded_at_end: 0,
             recovery: RecoveryStats::default(),
-            digest: 0xCBF2_9CE4_8422_2325,
+            digest: DIGEST_SEED,
             final_clock: SimTime::ZERO,
         }
     }

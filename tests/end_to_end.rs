@@ -2,11 +2,12 @@
 //! refresh detector, shared bus, FTL, ECC, media — exercised together.
 
 use nvdimmc::core::{
-    BlockDevice, CoreError, EmulatedPmem, EvictionPolicyKind, MultiChannelConfig,
-    MultiChannelSystem, NvdimmCConfig, PerfParams, System, PAGE_BYTES,
+    BlockDevice, CoreError, EmulatedPmem, EvictionPolicyKind, ExecutorConfig, GlobalOp,
+    InterleaveMap, MultiChannelConfig, MultiChannelSystem, NvdimmCConfig, PerfParams,
+    ShardExecutor, System, PAGE_BYTES,
 };
 use nvdimmc::ddr::{SpeedBin, TimingParams};
-use nvdimmc::sim::{DeterministicRng, SimDuration};
+use nvdimmc::sim::{DeterministicRng, SimDuration, SimTime};
 use nvdimmc::workloads::{FioJob, MixedLoad, StreamValidator};
 
 fn page(fill: u8) -> Vec<u8> {
@@ -248,6 +249,40 @@ fn errors_are_reported_not_panicked() {
     .unwrap();
     assert_out_of_range("EmulatedPmem::read_at", pmem.read_at(off, &mut [0u8; 64]));
     assert_out_of_range("EmulatedPmem::write_at", pmem.write_at(off, &[0u8; 64]));
+    // The executor knows no capacity, but a range whose end overflows
+    // the address space is refused at submit, never silently dropped.
+    let map = InterleaveMap::new(4, PAGE_BYTES).unwrap();
+    let mut exec = ShardExecutor::new(4, ExecutorConfig::default());
+    assert_out_of_range(
+        "ShardExecutor::submit read",
+        exec.submit(&map, GlobalOp::read(0, off, 64, SimTime::ZERO)),
+    );
+    assert_out_of_range(
+        "ShardExecutor::submit write",
+        exec.submit(&map, GlobalOp::write(0, off, &[0u8; 64], SimTime::ZERO)),
+    );
+    assert!(!exec.has_pending(), "a refused operation queues nothing");
+    // Prefault is range-checked and takes no cache slot when refused.
+    let free = sys.cache().free_slots();
+    let pages = cap / PAGE_BYTES;
+    assert_out_of_range("System::prefault past capacity", sys.prefault(pages + 5));
+    assert_out_of_range("System::prefault(u64::MAX)", sys.prefault(u64::MAX));
+    assert_eq!(
+        sys.cache().free_slots(),
+        free,
+        "a refused prefault took a slot"
+    );
+    let front_pages = front.capacity_bytes() / PAGE_BYTES;
+    assert_out_of_range(
+        "4-channel prefault at capacity",
+        front.prefault(front_pages),
+    );
+    assert_out_of_range(
+        "4-channel prefault with overflowing offset",
+        front.prefault(u64::MAX / PAGE_BYTES + 1),
+    );
+    sys.prefault(pages - 1).unwrap();
+    front.prefault(front_pages - 1).unwrap();
     // Every device is still usable after the errors.
     sys.write_at(0, &page(1)).unwrap();
     front.write_at(0, &page(1)).unwrap();

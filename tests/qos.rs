@@ -16,8 +16,9 @@
 
 use nvdimmc::check::check_qos;
 use nvdimmc::core::{
-    ExecutorConfig, InterleaveMap, MaintenanceConfig, MaintenanceScheduler, NvdimmCConfig, ReqKind,
-    ShardExecutor, ShardRequest, System, TenantId, TenantSpec, TokenBucket, WfqArbiter, PAGE_BYTES,
+    ExecutorConfig, GlobalOp, InterleaveMap, MaintenanceConfig, MaintenanceScheduler,
+    NvdimmCConfig, ReqKind, ShardExecutor, ShardRequest, System, TenantId, TenantSpec, TokenBucket,
+    WfqArbiter, PAGE_BYTES,
 };
 use nvdimmc::sim::{SimDuration, SimTime};
 use nvdimmc::workloads::QosTestConfig;
@@ -107,13 +108,22 @@ fn tenancy_rides_every_completion() {
     let mut exec = ShardExecutor::new(2, ExecutorConfig::default());
     let tenant = TenantId(7);
     let data = vec![0x5Au8; PAGE_BYTES as usize];
-    exec.submit_for(&map, tenant, 0, ReqKind::Write, 0, SimTime::ZERO, &data)
-        .unwrap();
-    exec.submit_read_for(&map, tenant, 0, PAGE_BYTES, PAGE_BYTES, SimTime::ZERO)
-        .unwrap();
-    // Legacy submit stays on the host tenant.
-    exec.submit_read(&map, 0, 2 * PAGE_BYTES, PAGE_BYTES, SimTime::ZERO)
-        .unwrap();
+    exec.submit(
+        &map,
+        GlobalOp::write(0, 0, &data, SimTime::ZERO).for_tenant(tenant),
+    )
+    .unwrap();
+    exec.submit(
+        &map,
+        GlobalOp::read(0, PAGE_BYTES, PAGE_BYTES, SimTime::ZERO).for_tenant(tenant),
+    )
+    .unwrap();
+    // An untagged operation stays on the host tenant.
+    exec.submit(
+        &map,
+        GlobalOp::read(0, 2 * PAGE_BYTES, PAGE_BYTES, SimTime::ZERO),
+    )
+    .unwrap();
     let done = exec.dispatch(&mut devices);
     assert_eq!(done.len(), 3);
     let mut tenants: Vec<TenantId> = done.iter().map(|c| c.tenant).collect();
@@ -133,8 +143,11 @@ fn wfq_arbiter_defaults_leave_the_executor_untouched() {
             exec.set_arbiter(Some(WfqArbiter::new(1, &[])));
         }
         for i in 0..8u64 {
-            exec.submit_read(&map, 0, (i % 4) * PAGE_BYTES, PAGE_BYTES, SimTime::ZERO)
-                .unwrap();
+            exec.submit(
+                &map,
+                GlobalOp::read(0, (i % 4) * PAGE_BYTES, PAGE_BYTES, SimTime::ZERO),
+            )
+            .unwrap();
         }
         exec.dispatch(&mut devices)
             .into_iter()
@@ -266,26 +279,18 @@ fn background_churn_cannot_evict_foreground_hot_set() {
 
     // Foreground makes 4 pages hot.
     for page in 0..4u64 {
-        exec.submit_read_for(
+        exec.submit(
             &map,
-            TenantId(1),
-            0,
-            page * PAGE_BYTES,
-            PAGE_BYTES,
-            SimTime::ZERO,
+            GlobalOp::read(0, page * PAGE_BYTES, PAGE_BYTES, SimTime::ZERO).for_tenant(TenantId(1)),
         )
         .unwrap();
         exec.dispatch(&mut devices);
     }
     // Background churns 16 distinct pages through the 8-slot cache.
     for page in 4..20u64 {
-        exec.submit_read_for(
+        exec.submit(
             &map,
-            TenantId(2),
-            1,
-            page * PAGE_BYTES,
-            PAGE_BYTES,
-            SimTime::ZERO,
+            GlobalOp::read(1, page * PAGE_BYTES, PAGE_BYTES, SimTime::ZERO).for_tenant(TenantId(2)),
         )
         .unwrap();
         exec.dispatch(&mut devices);
@@ -294,13 +299,9 @@ fn background_churn_cannot_evict_foreground_hot_set() {
     // (orders of magnitude under the Z-NAND fault path).
     let hits_before = devices[0].cache_stats().hits;
     for page in 0..4u64 {
-        exec.submit_read_for(
+        exec.submit(
             &map,
-            TenantId(1),
-            0,
-            page * PAGE_BYTES,
-            PAGE_BYTES,
-            SimTime::ZERO,
+            GlobalOp::read(0, page * PAGE_BYTES, PAGE_BYTES, SimTime::ZERO).for_tenant(TenantId(1)),
         )
         .unwrap();
         let done = exec.dispatch(&mut devices);
