@@ -14,6 +14,18 @@
 //! detector state machine does not monitor — the [`DetectorPipeline`]
 //! recovers them from the full captured CA word, as the production FPGA
 //! would from additionally-tapped pins.
+//!
+//! A bus command holds its pin state for the whole capture window, so
+//! [`RefreshDetector::feed_command`] sees eight identical samples. When
+//! the deserializer is *aligned* (no partial capture pending), those
+//! samples fill exactly one word whose eight bits are equal, and the
+//! serial result has a closed form: one word examined, a detection iff
+//! the pins show REF or REFpb (both need CKE high, so from the second bit
+//! on the CKE-history gate is the command's own CKE), eight SRE
+//! rejections on the SRE pattern, and the command's CKE as the new
+//! history bit. `feed_command` computes that directly. A capture left
+//! misaligned by stray [`RefreshDetector::push_sample`] calls straddles
+//! two commands, and takes the serial sample-by-sample path instead.
 
 use nvdimmc_ddr::{BankAddr, CaPins, Command};
 use nvdimmc_sim::SimTime;
@@ -58,6 +70,12 @@ impl Deserializer {
     /// Creates an empty deserializer bank.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Whether no partial capture is pending: the next sample starts a
+    /// fresh 8-bit word on every pin.
+    fn is_aligned(&self) -> bool {
+        self.pins.iter().all(|p| p.count == 0)
     }
 
     /// Pushes one sample of all six pins (paper order: CKE, CS_n, ACT_n,
@@ -138,34 +156,26 @@ impl RefreshDetector {
     /// Examines one parallel capture (six 8-bit words).
     fn examine(&mut self, words: [u8; MONITORED_PINS]) -> bool {
         self.stats.words += 1;
-        let [cke, cs_n, act_n, ras_n, cas_n, we_n] = words;
         let mut hit = false;
         let mut pb_hit = false;
         for bit in (0..DESER_RATIO).rev() {
-            let m = 1u8 << bit;
-            let lv = |w: u8| w & m != 0;
-            let is_ref_state =
-                lv(cke) && lv(act_n) && lv(we_n) && !lv(cs_n) && !lv(ras_n) && !lv(cas_n);
-            // Per-bank REFpb: the same state with CAS_n high (the formerly
-            // reserved RAS_n-low CAS_n-high WE_n-high decode slot).
-            let is_refpb_state =
-                lv(cke) && lv(act_n) && lv(we_n) && !lv(cs_n) && !lv(ras_n) && lv(cas_n);
-            // SRE shows the REF pin pattern *with CKE dropping*: the
-            // refresh state requires CKE high at the command edge and at
-            // the previous sample.
-            let sre_like =
-                !lv(cke) && lv(act_n) && lv(we_n) && !lv(cs_n) && !lv(ras_n) && !lv(cas_n);
-            if sre_like {
-                self.stats.sre_rejected += 1;
+            let levels = words.map(|w| w & (1u8 << bit) != 0);
+            // The refresh state requires CKE high at the command edge and
+            // at the previous sample, which is what tells SRE (the REF
+            // pin pattern *with CKE dropping*) apart.
+            match PinState::of(levels) {
+                PinState::Refresh if self.prev_cke_bit => hit = true,
+                PinState::RefreshBank if self.prev_cke_bit => pb_hit = true,
+                PinState::SreLike => self.stats.sre_rejected += 1,
+                _ => {}
             }
-            if is_ref_state && self.prev_cke_bit {
-                hit = true;
-            }
-            if is_refpb_state && self.prev_cke_bit {
-                pb_hit = true;
-            }
-            self.prev_cke_bit = lv(cke);
+            self.prev_cke_bit = levels[0];
         }
+        self.count(hit, pb_hit)
+    }
+
+    /// Counts one examined word's verdict.
+    fn count(&mut self, hit: bool, pb_hit: bool) -> bool {
         if hit || pb_hit {
             self.stats.detections += 1;
         }
@@ -175,16 +185,53 @@ impl RefreshDetector {
         hit || pb_hit
     }
 
-    /// Convenience: feeds the eight serial samples a held command edge
-    /// produces (the pin state is stable across the capture window) and
-    /// returns how many detections fired.
+    /// Feeds the eight serial samples a held command edge produces (the
+    /// pin state is stable across the capture window) and returns how
+    /// many detections fired. On an aligned capture this is the closed
+    /// form in the module docs; otherwise the samples go through
+    /// [`Self::push_sample`] one by one.
     pub fn feed_command(&mut self, pins: &CaPins) -> u64 {
-        let before = self.stats.detections;
         let sample = pins.monitored_pins();
-        for _ in 0..DESER_RATIO {
-            self.push_sample(sample);
+        if !self.deser.is_aligned() {
+            let before = self.stats.detections;
+            for _ in 0..DESER_RATIO {
+                self.push_sample(sample);
+            }
+            return self.stats.detections - before;
         }
-        self.stats.detections - before
+        self.stats.words += 1;
+        let state = PinState::of(sample);
+        if state == PinState::SreLike {
+            self.stats.sre_rejected += DESER_RATIO as u64;
+        }
+        self.prev_cke_bit = sample[0];
+        u64::from(self.count(state == PinState::Refresh, state == PinState::RefreshBank))
+    }
+}
+
+/// What one sample of the six monitored pins shows to the detector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PinState {
+    /// REF: CKE, ACT_n, WE_n high; CS_n, RAS_n, CAS_n low.
+    Refresh,
+    /// REFpb: the same state with CAS_n high (the formerly reserved
+    /// RAS_n-low CAS_n-high WE_n-high decode slot).
+    RefreshBank,
+    /// The REF pattern with CKE low: self-refresh entry.
+    SreLike,
+    /// Anything else.
+    Other,
+}
+
+impl PinState {
+    fn of(pins: [bool; MONITORED_PINS]) -> Self {
+        // Pin order: CKE, CS_n, ACT_n, RAS_n, CAS_n, WE_n.
+        match pins {
+            [true, false, true, false, false, true] => PinState::Refresh,
+            [true, false, true, false, true, true] => PinState::RefreshBank,
+            [false, false, true, false, false, true] => PinState::SreLike,
+            _ => PinState::Other,
+        }
     }
 }
 
@@ -426,6 +473,87 @@ mod tests {
         }));
         assert_eq!(hits, 1);
         assert_eq!(det.stats().pb_detections, 1);
+    }
+
+    /// The serial reference for [`RefreshDetector::feed_command`]: the
+    /// eight held samples through the deserializer one by one.
+    fn feed_serial(det: &mut RefreshDetector, pins: &CaPins) -> u64 {
+        let before = det.stats.detections;
+        for _ in 0..DESER_RATIO {
+            det.push_sample(pins.monitored_pins());
+        }
+        det.stats.detections - before
+    }
+
+    fn random_command(rng: &mut nvdimmc_sim::DeterministicRng) -> Command {
+        let bank = BankAddr::from_index(rng.gen_range(0..u64::from(BankAddr::COUNT)) as u8);
+        match rng.gen_range(0..10) {
+            0 => Command::Refresh,
+            1 => Command::RefreshBank {
+                bank,
+                stretch: rng.gen_range(0..16) as u8,
+            },
+            2 => Command::SelfRefreshEnter,
+            3 => Command::SelfRefreshExit,
+            4 => Command::Activate {
+                bank,
+                row: rng.gen_range(0..1 << 17) as u32,
+            },
+            5 => Command::Read {
+                bank,
+                col: rng.gen_range(0..1024) as u16,
+                auto_precharge: rng.gen_bool(0.5),
+            },
+            6 => Command::Write {
+                bank,
+                col: rng.gen_range(0..1024) as u16,
+                auto_precharge: rng.gen_bool(0.5),
+            },
+            7 => Command::Precharge { bank },
+            8 => Command::PrechargeAll,
+            _ => Command::Deselect,
+        }
+    }
+
+    #[test]
+    fn closed_form_matches_serial_samples_on_random_streams() {
+        use nvdimmc_sim::DeterministicRng;
+        let (mut aligned, mut misaligned) = (0u32, 0u32);
+        for seed in 0..64 {
+            let mut rng = DeterministicRng::new(seed);
+            let mut det = RefreshDetector::new();
+            let mut serial = RefreshDetector::new();
+            for step in 0..300 {
+                if rng.gen_bool(0.05) {
+                    // A stray raw sample (random CKE edge included) shifts
+                    // both captures off the command boundary alike.
+                    let sample = [(); MONITORED_PINS].map(|()| rng.gen_bool(0.5));
+                    assert_eq!(det.push_sample(sample), serial.push_sample(sample));
+                } else {
+                    if det.deser.is_aligned() {
+                        aligned += 1;
+                    } else {
+                        misaligned += 1;
+                    }
+                    let cmd = random_command(&mut rng);
+                    let pins = CaPins::encode(&cmd);
+                    assert_eq!(
+                        det.feed_command(&pins),
+                        feed_serial(&mut serial, &pins),
+                        "seed {seed} step {step}: {cmd:?}"
+                    );
+                }
+                assert_eq!(det.stats(), serial.stats(), "seed {seed} step {step}");
+                assert_eq!(
+                    det.prev_cke_bit, serial.prev_cke_bit,
+                    "seed {seed} step {step}"
+                );
+            }
+        }
+        assert!(
+            aligned > 1_000 && misaligned > 1_000,
+            "{aligned} / {misaligned}"
+        );
     }
 
     #[test]

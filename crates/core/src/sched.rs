@@ -7,7 +7,7 @@
 //! refresh windows from that ring's depth.
 
 use nvdimmc_ddr::{BankAddr, TimingParams};
-use nvdimmc_sim::{ShardCalendar, SimDuration, SimTime};
+use nvdimmc_sim::{SimDuration, SimTime};
 
 use crate::qos::TenantId;
 
@@ -45,9 +45,9 @@ pub struct ShardRequest {
 /// Places per-bank refresh windows for one shard: which bank the next
 /// REFpb targets and how far its NVMC window stretches.
 ///
-/// Placement is demand-driven with a deadline backstop, tracked in a
-/// [`ShardCalendar`] keyed by bank index (the same deterministic pop-min
-/// structure the executor uses for shards):
+/// Placement is demand-driven with a deadline backstop. Each bank keeps
+/// one deadline in a fixed array; the earliest is found by a scan over
+/// the sixteen entries, lowest bank index first on ties:
 ///
 /// 1. a bank whose per-bank deadline (one refresh per tREFI, the JEDEC
 ///    average-interval budget) has passed is refreshed first — correctness
@@ -63,8 +63,8 @@ pub struct ShardRequest {
 /// get their banks back sooner.
 #[derive(Debug)]
 pub struct RefreshPlanner {
-    /// Per-bank refresh deadlines; calendar slot = bank index.
-    deadlines: ShardCalendar,
+    /// Per-bank refresh deadlines, indexed by bank index.
+    deadlines: [SimTime; BankAddr::COUNT as usize],
     /// Deadline spacing: every bank must be refreshed once per interval.
     interval: SimDuration,
     /// Latest queue-depth hint from the executor.
@@ -78,12 +78,8 @@ pub struct RefreshPlanner {
 impl RefreshPlanner {
     /// A planner whose banks are all due one `interval` from time zero.
     pub fn new(interval: SimDuration) -> Self {
-        let mut deadlines = ShardCalendar::new(usize::from(BankAddr::COUNT));
-        for b in 0..usize::from(BankAddr::COUNT) {
-            deadlines.set(b, SimTime::ZERO + interval);
-        }
         RefreshPlanner {
-            deadlines,
+            deadlines: [SimTime::ZERO + interval; BankAddr::COUNT as usize],
             interval,
             queue_depth: 0,
             demand_placed: 0,
@@ -106,34 +102,41 @@ impl RefreshPlanner {
     /// Picks the bank and stretch for the next REFpb issued at (or after)
     /// `now`, given the bank the FPGA wants serviced next.
     pub fn choose(&mut self, now: SimTime, wanted: Option<BankAddr>) -> (BankAddr, u8) {
-        if let Some((due, idx)) = self.deadlines.peek() {
-            if due <= now {
-                self.deadline_forced += 1;
-                let bank = BankAddr::from_index(idx as u8);
-                // A backstop refresh is pure duty: no NVMC demand behind
-                // it, so keep the window minimal unless it happens to be
-                // the wanted bank anyway.
-                let stretch = if wanted == Some(bank) {
-                    self.stretch_hint()
-                } else {
-                    0
-                };
-                return (bank, stretch);
-            }
+        let (due, earliest) = self.earliest();
+        if due <= now {
+            self.deadline_forced += 1;
+            // A backstop refresh is pure duty: no NVMC demand behind it,
+            // so keep the window minimal unless it happens to be the
+            // wanted bank anyway.
+            let stretch = if wanted == Some(earliest) {
+                self.stretch_hint()
+            } else {
+                0
+            };
+            return (earliest, stretch);
         }
         if let Some(bank) = wanted {
             self.demand_placed += 1;
             return (bank, self.stretch_hint());
         }
-        let idx = self.deadlines.peek().map_or(0, |(_, b)| b);
-        (BankAddr::from_index(idx as u8), 0)
+        (earliest, 0)
+    }
+
+    /// The earliest deadline and its bank, lowest bank index on ties.
+    fn earliest(&self) -> (SimTime, BankAddr) {
+        let mut best = (self.deadlines[0], 0);
+        for (idx, &due) in (0u8..).zip(&self.deadlines) {
+            if due < best.0 {
+                best = (due, idx);
+            }
+        }
+        (best.0, BankAddr::from_index(best.1))
     }
 
     /// Records a REFpb actually issued to `bank` at `at`, pushing its
     /// deadline out one interval.
     pub fn note_refreshed(&mut self, bank: BankAddr, at: SimTime) {
-        self.deadlines
-            .set(usize::from(bank.index()), at + self.interval);
+        self.deadlines[usize::from(bank.index())] = at + self.interval;
     }
 
     /// `(demand_placed, deadline_forced)` placement counters.
@@ -145,6 +148,7 @@ impl RefreshPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvdimmc_sim::ShardCalendar;
 
     #[test]
     fn planner_prefers_demand_until_a_deadline_expires() {
@@ -193,6 +197,107 @@ mod tests {
         for (idx, &t) in last.iter().enumerate() {
             assert!(t > SimTime::ZERO, "bank index {idx} never refreshed");
         }
+    }
+
+    /// The calendar-backed planner the array planner replaced, kept as
+    /// the reference for its pick order: one live [`ShardCalendar`]
+    /// entry per bank, lazily superseded on every refresh.
+    struct CalendarPlanner {
+        deadlines: ShardCalendar,
+        interval: SimDuration,
+        demand_placed: u64,
+        deadline_forced: u64,
+    }
+
+    impl CalendarPlanner {
+        fn new(interval: SimDuration) -> Self {
+            let mut deadlines = ShardCalendar::new(usize::from(BankAddr::COUNT));
+            for b in 0..usize::from(BankAddr::COUNT) {
+                deadlines.set(b, SimTime::ZERO + interval);
+            }
+            CalendarPlanner {
+                deadlines,
+                interval,
+                demand_placed: 0,
+                deadline_forced: 0,
+            }
+        }
+
+        fn choose(&mut self, now: SimTime, wanted: Option<BankAddr>, hint: u8) -> (BankAddr, u8) {
+            if let Some((due, idx)) = self.deadlines.peek() {
+                if due <= now {
+                    self.deadline_forced += 1;
+                    let bank = BankAddr::from_index(idx as u8);
+                    return (bank, if wanted == Some(bank) { hint } else { 0 });
+                }
+            }
+            if let Some(bank) = wanted {
+                self.demand_placed += 1;
+                return (bank, hint);
+            }
+            let idx = self.deadlines.peek().map_or(0, |(_, b)| b);
+            (BankAddr::from_index(idx as u8), 0)
+        }
+
+        fn note_refreshed(&mut self, bank: BankAddr, at: SimTime) {
+            self.deadlines
+                .set(usize::from(bank.index()), at + self.interval);
+        }
+    }
+
+    #[test]
+    fn array_planner_matches_calendar_reference_with_tied_deadlines() {
+        use nvdimmc_sim::DeterministicRng;
+        let interval = SimDuration::from_us(7.8);
+        // A coarse time grid makes many deadlines tie exactly.
+        let grid = interval / 8;
+        let bank = |rng: &mut DeterministicRng| {
+            BankAddr::from_index(rng.gen_range(0..u64::from(BankAddr::COUNT)) as u8)
+        };
+        let mut ties = 0u32;
+        for seed in 0..64 {
+            let mut rng = DeterministicRng::new(seed);
+            let mut p = RefreshPlanner::new(interval);
+            let mut r = CalendarPlanner::new(interval);
+            let mut now = SimTime::ZERO;
+            for step in 0..400 {
+                now += grid * rng.gen_range(0..3);
+                if rng.gen_bool(0.5) {
+                    p.note_queue_depth(rng.gen_range(0..24) as usize);
+                    let wanted = rng.gen_bool(0.7).then(|| bank(&mut rng));
+                    let pick = p.choose(now, wanted);
+                    assert_eq!(
+                        pick,
+                        r.choose(now, wanted, p.stretch_hint()),
+                        "seed {seed} step {step}"
+                    );
+                    if rng.gen_bool(0.8) {
+                        p.note_refreshed(pick.0, now);
+                        r.note_refreshed(pick.0, now);
+                    }
+                } else {
+                    // A refresh snooped a little in the past.
+                    let back = grid * rng.gen_range(0..3);
+                    let at = SimTime::ZERO + now.since(SimTime::ZERO).saturating_sub(back);
+                    let b = bank(&mut rng);
+                    p.note_refreshed(b, at);
+                    r.note_refreshed(b, at);
+                }
+                let earliest = p.earliest().0;
+                if p.deadlines.iter().filter(|&&d| d == earliest).count() > 1 {
+                    ties += 1;
+                }
+                assert_eq!(
+                    p.placement_counts(),
+                    (r.demand_placed, r.deadline_forced),
+                    "seed {seed} step {step}"
+                );
+            }
+        }
+        assert!(
+            ties > 1_000,
+            "only {ties} steps with a tied earliest deadline"
+        );
     }
 
     #[test]

@@ -1017,13 +1017,13 @@ impl ChannelShard {
             let in_page = (offset + pos as u64) % PAGE_BYTES;
             let n = ((PAGE_BYTES - in_page) as usize).min(len as usize - pos);
             let addr = self.layout.slot_addr(slot) + in_page;
-            // Timing: a real bus transfer (stalls behind refresh windows).
-            // A store stream occupies the bus read-shaped (tCWL ≈ tCL at
-            // this fidelity).
-            let mut scratch = vec![0u8; n];
+            // Timing: the bus commands of a real transfer (stalls behind
+            // refresh windows); the bytes move through the CPU model
+            // below. A store stream occupies the bus read-shaped (tCWL ≈
+            // tCL at this fidelity).
             self.clock =
                 self.imc
-                    .read_bytes_paced(&mut self.bus, self.clock, addr, &mut scratch, pace)?;
+                    .read_timing_paced(&mut self.bus, self.clock, addr, n as u64, pace)?;
             match &mut io {
                 // Function: loads go through the CPU cache (they see
                 // dirty lines).

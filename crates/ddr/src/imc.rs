@@ -462,11 +462,39 @@ impl Imc {
             len,
             AccessKind::Read,
             line_interval,
-            |bus, dec, line, dst| {
+            |bus, dec, line| {
                 let data = bus.device_mut().burst_read(dec.bank, dec.col);
-                dst.copy_from_slice(&data[line.off..line.off + line.len]);
+                buf[line.pos..line.pos + line.len]
+                    .copy_from_slice(&data[line.off..line.off + line.len]);
             },
-            buf,
+        )
+    }
+
+    /// The bus side of [`Imc::read_bytes_paced`] alone: the same refresh
+    /// catch-up, row management and column READs, with the same timing,
+    /// counters and CA captures, but no data leaves the device. For a
+    /// caller that moves the bytes by other means (the host's CPU-cache
+    /// model) and needs only the transfer's occupancy.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bus violations.
+    pub fn read_timing_paced(
+        &mut self,
+        bus: &mut SharedBus,
+        at: SimTime,
+        addr: u64,
+        len: u64,
+        line_interval: SimDuration,
+    ) -> Result<SimTime, BusViolation> {
+        self.transfer(
+            bus,
+            at,
+            addr,
+            len,
+            AccessKind::Read,
+            line_interval,
+            |_, _, _| {},
         )
     }
 
@@ -501,7 +529,6 @@ impl Imc {
         data: &[u8],
         line_interval: SimDuration,
     ) -> Result<SimTime, BusViolation> {
-        let mut tmp = data.to_vec();
         self.transfer(
             bus,
             at,
@@ -509,21 +536,23 @@ impl Imc {
             data.len() as u64,
             AccessKind::Write,
             line_interval,
-            |bus, dec, line, src| {
+            |bus, dec, line| {
                 let mut burst = if line.len == 64 {
                     [0u8; 64]
                 } else {
                     bus.device_mut().burst_read(dec.bank, dec.col)
                 };
-                burst[line.off..line.off + line.len].copy_from_slice(&src[..line.len]);
+                burst[line.off..line.off + line.len]
+                    .copy_from_slice(&data[line.pos..line.pos + line.len]);
                 bus.device_mut().burst_write(dec.bank, dec.col, &burst);
             },
-            &mut tmp,
         )
     }
 
+    /// Issues the column commands for `len` bytes at `addr`, one burst per
+    /// 64-byte line, and hands each line to `mover` to move its data.
     #[allow(clippy::too_many_arguments)]
-    fn transfer<F>(
+    fn transfer(
         &mut self,
         bus: &mut SharedBus,
         at: SimTime,
@@ -531,12 +560,8 @@ impl Imc {
         len: u64,
         kind: AccessKind,
         line_interval: SimDuration,
-        mut mover: F,
-        scratch: &mut [u8],
-    ) -> Result<SimTime, BusViolation>
-    where
-        F: FnMut(&mut SharedBus, &DecodedAddr, LineSpan, &mut [u8]),
-    {
+        mut mover: impl FnMut(&mut SharedBus, &DecodedAddr, LineSpan),
+    ) -> Result<SimTime, BusViolation> {
         let mut pos = 0u64;
         let mut next_issue = at;
         let mut last_end = at;
@@ -551,8 +576,11 @@ impl Imc {
             mover(
                 bus,
                 &dec,
-                LineSpan { off, len: n },
-                &mut scratch[pos as usize..pos as usize + n],
+                LineSpan {
+                    pos: pos as usize,
+                    off,
+                    len: n,
+                },
             );
             // Pipeline the next column command at tCCD spacing, or at the
             // caller's pace when slower.
@@ -564,10 +592,15 @@ impl Imc {
     }
 }
 
-/// The byte span of one access within a 64-byte burst.
+/// One line of a transfer: where it sits in the caller's buffer and
+/// which bytes of its 64-byte burst it covers.
 #[derive(Debug, Clone, Copy)]
 struct LineSpan {
+    /// Offset of the line's first byte in the caller's buffer.
+    pos: usize,
+    /// Offset of that byte within the burst.
     off: usize,
+    /// Bytes of the burst the line covers.
     len: usize,
 }
 
@@ -778,6 +811,63 @@ mod tests {
             assert!(
                 total - last_seen_gap[i] <= u64::from(Imc::PB_FORCE_LIMIT) + 16,
                 "bank {i} starved at end of run"
+            );
+        }
+    }
+
+    #[test]
+    fn timing_only_read_matches_the_data_moving_read() {
+        use nvdimmc_sim::DeterministicRng;
+        for mode in [RefreshMode::RankLevel, RefreshMode::PerBank] {
+            let pair = || {
+                let (mut imc, mut bus) = setup();
+                imc.set_refresh_mode(mode);
+                bus.set_refresh_mode(mode);
+                bus.attach_recorder();
+                bus.set_ca_capture(true);
+                (imc, bus)
+            };
+            let (mut moving, mut moving_bus) = pair();
+            let (mut timing, mut timing_bus) = pair();
+            let mut rng = DeterministicRng::new(5);
+            let mut t = SimTime::from_ns(100);
+            for step in 0..300 {
+                // Short gaps keep the pipeline busy; an occasional long
+                // jump makes the pump catch up (and elide) refreshes.
+                t += if rng.gen_bool(0.05) {
+                    moving.trefi() * rng.gen_range(1..12)
+                } else {
+                    SimDuration::from_ns(rng.gen_range(0..2_000))
+                };
+                let addr = rng.gen_range(0..CAP - 8192);
+                let len = rng.gen_range(1..8192);
+                let pace = SimDuration::from_ns(rng.gen_range(0..12));
+                if mode == RefreshMode::PerBank && rng.gen_bool(0.3) {
+                    let pref = Some((
+                        BankAddr::from_index(rng.gen_range(0..16) as u8),
+                        rng.gen_range(0..16) as u8,
+                    ));
+                    moving.set_refresh_pref(pref);
+                    timing.set_refresh_pref(pref);
+                }
+                let mut buf = vec![0u8; len as usize];
+                let end = moving
+                    .read_bytes_paced(&mut moving_bus, t, addr, &mut buf, pace)
+                    .unwrap();
+                let timing_end = timing
+                    .read_timing_paced(&mut timing_bus, t, addr, len, pace)
+                    .unwrap();
+                let at = format!("{mode:?} step {step}");
+                assert_eq!(end, timing_end, "{at}");
+                assert_eq!(moving.stats(), timing.stats(), "{at}");
+                assert_eq!(moving_bus.stats(), timing_bus.stats(), "{at}");
+                assert_eq!(moving_bus.take_trace(), timing_bus.take_trace(), "{at}");
+                assert_eq!(moving_bus.drain_ca_log(), timing_bus.drain_ca_log(), "{at}");
+                t = end;
+            }
+            assert!(
+                moving.stats().refreshes > 0,
+                "{mode:?}: refreshes interleaved"
             );
         }
     }
